@@ -25,6 +25,8 @@ __all__ = [
     "vars_of_mask",
     "var_columns",
     "all_ones_column",
+    "moebius",
+    "set_bits",
 ]
 
 
@@ -253,17 +255,27 @@ class AnfPoly:
         """Truth table over all 2**n assignments packed into one int.
 
         Bit ``a`` of the result is the value at the assignment whose
-        variable ``i`` equals ``(a >> (i - 1)) & 1``.
+        variable ``i`` equals ``(a >> (i - 1)) & 1``.  Raises
+        UncoveredVariable when the polynomial uses a variable above ``n``.
         """
-        cols = var_columns(n)
-        ones = all_ones_column(n)
+        if self.max_var() > n:
+            raise UncoveredVariable(
+                f"truth column over {n} variables does not cover "
+                f"variable {self.max_var()}"
+            )
+        return moebius(self.coefficient_column(), n)
+
+    def coefficient_column(self) -> int:
+        """Coefficient vector packed into an int: monomial ``m`` sets bit ``m >> 1``."""
         acc = 0
         for m in self._masks:
-            col = ones
-            for v in vars_of_mask(m):
-                col &= cols[v]
-            acc ^= col
+            acc ^= 1 << (m >> 1)
         return acc
+
+    @classmethod
+    def from_coefficient_column(cls, column: int) -> "AnfPoly":
+        """Inverse of ``coefficient_column``: bit ``a`` is the monomial ``a << 1``."""
+        return cls._wrap(frozenset([a << 1 for a in set_bits(column)]))
 
     # --- rendering --------------------------------------------------------
 
@@ -421,7 +433,7 @@ class IntPoly:
         return f"IntPoly({self.to_text()})"
 
 
-# Truth-column helpers (shared by polynomials and the brute-force oracles).
+# Truth-column kernel (shared by polynomials, merges and the brute-force oracles).
 
 _COLUMN_CACHE: Dict[int, tuple[int, ...]] = {}
 
@@ -430,19 +442,20 @@ def var_columns(n: int) -> tuple[int, ...]:
     """Per-variable truth columns over 2**n assignments.
 
     Entry ``i`` (1-based) has bit ``a`` set iff variable ``i`` is 1 in
-    assignment ``a``, i.e. iff ``(a >> (i-1)) & 1``.
+    assignment ``a``, i.e. iff ``(a >> (i-1)) & 1``.  Each column is one
+    period (``2**(i-1)`` zeros, then as many ones) doubled up to 2**n bits.
     """
     cached = _COLUMN_CACHE.get(n)
     if cached is not None:
         return cached
+    size = 1 << n
     cols = [0] * (n + 1)
     for i in range(1, n + 1):
-        half = 1 << (i - 1)
-        block = ((1 << half) - 1) << half  # 'half' zeros then 'half' ones
-        period = half << 1
-        col = 0
-        for start in range(0, 1 << n, period):
-            col |= block << start
+        width = 1 << i
+        col = ((1 << (width >> 1)) - 1) << (width >> 1)
+        while width < size:
+            col |= col << width
+            width <<= 1
         cols[i] = col
     result = tuple(cols)
     _COLUMN_CACHE[n] = result
@@ -451,3 +464,28 @@ def var_columns(n: int) -> tuple[int, ...]:
 
 def all_ones_column(n: int) -> int:
     return (1 << (1 << n)) - 1
+
+
+def moebius(table: int, n: int) -> int:
+    """Binary Moebius (ANF) transform of a 2**n-bit table; its own inverse.
+
+    Maps a coefficient column to the truth column and back: each pass adds
+    bit ``a`` into bit ``a | 2**i`` for every ``a`` with bit ``i`` clear.
+    """
+    for i, col in enumerate(var_columns(n)[1:]):
+        table ^= (table << (1 << i)) & col
+    return table
+
+
+def set_bits(x: int) -> list[int]:
+    """Positions of the set bits of a nonnegative int, ascending, in linear time."""
+    # One scan of the binary string; an x & -x loop copies the whole int per
+    # bit, which is quadratic on dense tables.
+    digits = bin(x)
+    top = len(digits) - 1
+    out = []
+    j = digits.rfind("1")
+    while j >= 0:
+        out.append(top - j)
+        j = digits.rfind("1", 0, j)
+    return out

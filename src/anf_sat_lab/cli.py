@@ -52,6 +52,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -312,7 +319,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("decide", help="bounded-solution satisfiability verdict")
     add_common(p)
-    p.add_argument("--k", type=int, required=True, help="assume #solutions <= 2^k")
+    p.add_argument("--k", type=_nonnegative_int, required=True, help="assume #solutions <= 2^k")
     p.add_argument("--mode", choices=("gf2", "int"), default="gf2")
     p.add_argument("--frontier-cap", type=_positive_int, default=1 << 22)
     p.set_defaults(func=_cmd_decide)

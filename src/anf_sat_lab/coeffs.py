@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Optional
 
-from .anf import AnfPoly, IntPoly
+from .anf import AnfPoly, IntPoly, vars_of_mask
 from .cnf import Formula, relabel_by_frequency, sort_clauses
 from .errors import ResourceCap
 from .indicator import FactorSequence, factor_sequence
@@ -174,7 +174,7 @@ class SweepVerdict:
         return {
             "k": self.k,
             "verdict": "SAT" if self.satisfiable else "UNSAT-under-assumption",
-            "witness": sorted(_mask_vars(self.witness_mask))
+            "witness": list(vars_of_mask(self.witness_mask))
             if self.witness_mask is not None
             else None,
             "mode": self.mode,
@@ -185,10 +185,6 @@ class SweepVerdict:
             },
             "capped": self.capped,
         }
-
-
-def _mask_vars(mask: int) -> list[int]:
-    return [i for i in range(1, mask.bit_length()) if (mask >> i) & 1]
 
 
 def sweep(
@@ -280,7 +276,7 @@ def decide_sat_bounded(
     witness_orig = None
     if verdict.witness_mask is not None:
         witness_orig = tuple(
-            sorted(perm[i - 1] for i in _mask_vars(verdict.witness_mask))
+            sorted(perm[i - 1] for i in vars_of_mask(verdict.witness_mask))
         )
     return DecisionResult(
         verdict=verdict, relabel_perm=perm, witness_original_vars=witness_orig

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .anf import AnfPoly
+from .anf import AnfPoly, moebius
 from .cnf import Clause3, SortedFormula, static_sets
 from .errors import InvariantViolation, ResourceCap
 
@@ -42,6 +42,14 @@ MONITORED_CLAIM = "MERGE_SOUNDNESS"
 DEFAULT_LEN_CAP = 1 << 20
 
 PROFILE_HEADER = "# anf-sat-lab profile v1"
+
+# A merge at level l costs about l * 2**l bit operations on truth tables and
+# at least len(f) * len(g) monomial products on sparse sets.  Timed per call
+# (README, performance notes), the table path wins once
+# 2**l <= _TABLE_MERGE_PAIRS * len(f) * len(g).
+_TABLE_MERGE_PAIRS = 512
+# Tables stay at most 2**20 bits; var_columns caches l of them per level.
+_TABLE_MERGE_MAX_LEVEL = 20
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,14 @@ def merge_poly(f_l: AnfPoly, g_l: AnfPoly, l: int) -> tuple[AnfPoly, AnfPoly]:
         raise InvariantViolation(
             f"merge at level {l} received polynomials over higher variables"
         )
+    pairs = len(f_l) * len(g_l)
+    if l <= _TABLE_MERGE_MAX_LEVEL and 1 << l <= _TABLE_MERGE_PAIRS * pairs:
+        return _merge_tables(f_l, g_l, l)
+    return _merge_sparse(f_l, g_l, l)
+
+
+def _merge_sparse(f_l: AnfPoly, g_l: AnfPoly, l: int) -> tuple[AnfPoly, AnfPoly]:
+    """``merge_poly`` by ring operations on monomial sets."""
     f0, f1 = f_l.restrict(l, 0), f_l.restrict(l, 1)
     g0, g1 = g_l.restrict(l, 0), g_l.restrict(l, 1)
     a0 = f0 + g0
@@ -131,6 +147,27 @@ def merge_poly(f_l: AnfPoly, g_l: AnfPoly, l: int) -> tuple[AnfPoly, AnfPoly]:
     al1 = al + AnfPoly.one()
     h = al1 * (a0 * p1 + p0) + al * (a1 * a0 + a1 * p0 + p1)
     return h, a0 * a1
+
+
+def _merge_tables(f_l: AnfPoly, g_l: AnfPoly, l: int) -> tuple[AnfPoly, AnfPoly]:
+    """``merge_poly`` on truth tables over a_1..a_l: + is XOR and * is AND.
+
+    The low half of a table is its restriction a_l = 0, the high half its
+    restriction a_l = 1; both are tables over a_1..a_{l-1}, as is the residual.
+    """
+    half = 1 << (l - 1)
+    low = (1 << half) - 1
+    f = moebius(f_l.coefficient_column(), l)
+    g = moebius(g_l.coefficient_column(), l)
+    f0, f1 = f & low, f >> half
+    g0, g1 = g & low, g >> half
+    a0, a1 = f0 ^ g0, f1 ^ g1
+    p0, p1 = f0 & g0, f1 & g1
+    h = (a0 & p1 ^ p0) | (a1 & a0 ^ a1 & p0 ^ p1) << half
+    return (
+        AnfPoly.from_coefficient_column(moebius(h, l)),
+        AnfPoly.from_coefficient_column(moebius(a0 & a1, l - 1)),
+    )
 
 
 @dataclass(frozen=True)

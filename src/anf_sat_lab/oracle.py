@@ -1,10 +1,10 @@
 """Independent ground truth: exhaustive enumeration, full expansion, generators.
 
 Everything here is deliberately direct.  The fast enumerator packs truth
-tables into big integers; a second evaluator loops over assignments one by
-one so the two can cross-check each other.  The product expander multiplies
-factors outright, serving as the slow reference for the sparse coefficient
-recursion.
+tables into big integers and shares the truth-table kernel of ``anf``; a
+second evaluator loops over assignments one by one so the two can
+cross-check each other.  The product expander multiplies factors outright,
+serving as the slow reference for the sparse coefficient recursion.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .anf import AnfPoly, IntPoly, all_ones_column, var_columns
+from .anf import AnfPoly, IntPoly, all_ones_column, moebius, set_bits, var_columns
 from .cnf import Clause3, Formula
 from .errors import GenerationError, TooLarge
 from .solutions import SolutionSet
@@ -57,20 +57,8 @@ def brute_column(f: Formula) -> int:
 
 def brute_solutions(f: Formula) -> SolutionSet:
     """Exact solution set by exhaustive evaluation."""
-    col = brute_column(f)
-    masks = []
-    a = 0
-    col_copy = col
-    while col_copy:
-        if col_copy & 1:
-            mask = 0
-            for i in range(1, f.n + 1):
-                if (a >> (i - 1)) & 1:
-                    mask |= 1 << i
-            masks.append(mask)
-        col_copy >>= 1
-        a += 1
-    return SolutionSet.from_masks(f.n, masks)
+    # Assignment index a has mask a << 1 (variable i is bit i - 1 of a).
+    return SolutionSet.from_masks(f.n, [a << 1 for a in set_bits(brute_column(f))])
 
 
 def brute_solutions_slow(f: Formula) -> SolutionSet:
@@ -139,22 +127,9 @@ def anf_from_truth_column(column: int, n: int) -> AnfPoly:
     """Unique multilinear GF(2) polynomial with the given truth table.
 
     Moebius transform over the subset lattice; used as a test oracle.
+    Bits of ``column`` above 2**n are ignored.
     """
-    bits = [(column >> a) & 1 for a in range(1 << n)]
-    for i in range(n):
-        step = 1 << i
-        for a in range(1 << n):
-            if a & step:
-                bits[a] ^= bits[a ^ step]
-    masks = []
-    for a in range(1 << n):
-        if bits[a]:
-            mask = 0
-            for i in range(1, n + 1):
-                if (a >> (i - 1)) & 1:
-                    mask |= 1 << i
-            masks.append(mask)
-    return AnfPoly(masks)
+    return AnfPoly.from_coefficient_column(moebius(column & all_ones_column(n), n))
 
 
 def random_formula_rng(n: int, m: int, rng: random.Random) -> Formula:

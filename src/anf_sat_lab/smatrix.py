@@ -267,16 +267,7 @@ def image(h: Descriptor, *, limit: int = 25) -> SMatrix:
     support = tuple(range(1, h.n + 1))
     seen: set[tuple[int, ...]] = set()
     for alpha_index in range(1 << h.n):
-        alpha_mask = _index_to_mask(alpha_index, h.n)
-        out_mask = h.apply_mask(alpha_mask)
+        out_mask = h.apply_mask(alpha_index << 1)
         seen.add(tuple((out_mask >> i) & 1 for i in range(1, h.n + 1)))
     return SMatrix.from_assignments(support, seen)
 
-
-def _index_to_mask(index: int, n: int) -> int:
-    # Variable i takes bit (i - 1) of the index.
-    mask = 0
-    for i in range(1, n + 1):
-        if (index >> (i - 1)) & 1:
-            mask |= 1 << i
-    return mask

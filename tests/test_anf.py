@@ -3,7 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anf_sat_lab.anf import AnfPoly, IntPoly, mask_of_vars, vars_of_mask
+from anf_sat_lab.anf import (
+    AnfPoly,
+    IntPoly,
+    mask_of_vars,
+    moebius,
+    set_bits,
+    var_columns,
+    vars_of_mask,
+)
 from anf_sat_lab.errors import UncoveredVariable
 
 from helpers import truth_table
@@ -84,6 +92,57 @@ class TestEval:
     def test_uncovered_variable(self):
         with pytest.raises(UncoveredVariable):
             P("a3").eval((1, 1))
+
+
+class TestTruthKernel:
+    def test_var_columns_pointwise(self):
+        for n in range(13):
+            cols = var_columns(n)
+            assert len(cols) == n + 1 and cols[0] == 0
+            for i in range(1, n + 1):
+                for a in range(1 << n):
+                    assert (cols[i] >> a) & 1 == (a >> (i - 1)) & 1, (n, i, a)
+                assert cols[i] >> (1 << n) == 0
+
+    def test_moebius_maps_coefficients_to_values(self):
+        # Coefficient bit a is the monomial a << 1; value bit a is the
+        # assignment a << 1.  Checked pointwise in both directions.
+        rng = random.Random(61)
+        for _ in range(40):
+            n = rng.randrange(0, 9)
+            masks = {rng.randrange(1 << n) << 1 for _ in range(rng.randrange(12))}
+            p = AnfPoly(masks)
+            coeffs = sum(1 << (m >> 1) for m in masks)
+            values = sum(p.eval_mask(a << 1) << a for a in range(1 << n))
+            assert moebius(coeffs, n) == values
+            assert moebius(values, n) == coeffs
+            assert p.truth_column(n) == values
+            assert p.coefficient_column() == coeffs
+
+    def test_moebius_dense_table(self):
+        # the constant 1 is the all-ones table; the indicator of the
+        # all-zero assignment, (1 + a1)...(1 + an), has every monomial
+        for n in range(10):
+            ones = (1 << (1 << n)) - 1
+            assert moebius(1, n) == ones and moebius(ones, n) == 1
+
+    def test_set_bits(self):
+        assert set_bits(0) == []
+        assert set_bits(0b101001) == [0, 3, 5]
+        dense = (1 << 5000) - 1
+        assert set_bits(dense) == list(range(5000))
+        assert set_bits(1 << 4999) == [4999]
+
+    def test_from_coefficient_column(self):
+        assert AnfPoly.from_coefficient_column(0b1011) == P("1 + a1 + a1*a2")
+        assert AnfPoly.from_coefficient_column(0).is_zero()
+
+    def test_truth_column_uncovered_variable(self):
+        with pytest.raises(UncoveredVariable):
+            P("a1*a4").truth_column(3)
+        with pytest.raises(UncoveredVariable):
+            AnfPoly.var(1).truth_column(0)
+        assert AnfPoly.one().truth_column(0) == 1
 
 
 class TestRestrictSubstitute:

@@ -258,6 +258,12 @@ class TestSpecExamples:
         data = json.loads(out.splitlines()[1])
         assert data["witness"] == [1, 2, 3, 4, 5, 6]
 
+    def test_negative_k_usage_error(self, two_cnf, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decide", "--k", "-1", two_cnf])
+        assert exc.value.code == 64
+        assert "must be nonnegative" in capsys.readouterr().err
+
     def test_nonpositive_cap_usage_error(self, two_cnf):
         with pytest.raises(SystemExit) as exc:
             main(["build", two_cnf, "--cap", "0"])

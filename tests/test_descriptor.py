@@ -5,6 +5,7 @@ import pytest
 
 from anf_sat_lab.anf import AnfPoly
 from anf_sat_lab.cnf import Clause3, Formula, parse_dimacs, sort_clauses
+from anf_sat_lab import descriptor
 from anf_sat_lab.descriptor import (
     PROFILE_HEADER,
     Descriptor,
@@ -129,6 +130,55 @@ class TestMergePoly:
     def test_rejects_higher_variables(self):
         with pytest.raises(InvariantViolation):
             merge_poly(AnfPoly.var(5), AnfPoly.var(3), 3)
+
+
+def sparse_merge(f_l, g_l, l):
+    """The merge level as ring operations on monomial sets."""
+    f0, f1 = f_l.restrict(l, 0), f_l.restrict(l, 1)
+    g0, g1 = g_l.restrict(l, 0), g_l.restrict(l, 1)
+    a0, a1 = f0 + g0, f1 + g1
+    p0, p1 = f0 * g0, f1 * g1
+    al = AnfPoly.var(l)
+    h = (al + AnfPoly.one()) * (a0 * p1 + p0) + al * (a1 * a0 + a1 * p0 + p1)
+    return h, a0 * a1
+
+
+def random_poly(rng, l, terms):
+    return AnfPoly(rng.randrange(1 << l) << 1 for _ in range(terms))
+
+
+class TestMergePolyPaths:
+    def test_both_paths_match_ring_formula(self):
+        rng = random.Random(71)
+        for l in range(1, 15):
+            for _ in range(12):
+                f = random_poly(rng, l, rng.choice((0, 1, 3, 10, 30)))
+                g = random_poly(rng, l, rng.choice((0, 1, 3, 10, 30)))
+                want = sparse_merge(f, g, l)
+                assert descriptor._merge_tables(f, g, l) == want, (l, f, g)
+                assert descriptor._merge_sparse(f, g, l) == want, (l, f, g)
+                assert merge_poly(f, g, l) == want, (l, f, g)
+
+    def test_gate_weighs_level_against_entry_lengths(self, monkeypatch):
+        tables = []
+        merge_tables = descriptor._merge_tables
+
+        def spy(f_l, g_l, l):
+            tables.append(l)
+            return merge_tables(f_l, g_l, l)
+
+        monkeypatch.setattr(descriptor, "_merge_tables", spy)
+        rng = random.Random(72)
+        top = descriptor._TABLE_MERGE_MAX_LEVEL
+        short = random_poly(rng, 14, 1) + AnfPoly.var(14)
+        long = random_poly(rng, 14, 40) + AnfPoly.var(14)
+        merge_poly(short, short, 14)  # 2**14 > 512 * 2 * 2: sparse
+        assert tables == []
+        merge_poly(long, long, 14)  # 2**14 <= 512 * 40 * 40: table
+        assert tables == [14]
+        wide = random_poly(rng, top + 1, 300) + AnfPoly.var(top + 1)
+        merge_poly(wide, wide, top + 1)  # above the table width limit: sparse
+        assert tables == [14]
 
 
 class TestMerge:

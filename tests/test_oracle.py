@@ -44,6 +44,18 @@ class TestBruteSolutions:
             f = random_instance(rng, n, 4 * n)
             assert brute_solutions(f).solutions == brute_solutions_slow(f).solutions
 
+    def test_matches_slow_evaluator_at_threshold_density(self):
+        for n in (8, 12, 15):
+            for seed in range(1, 6):
+                f = random_formula(n, round(4.26 * n), seed)
+                assert brute_solutions(f) == brute_solutions_slow(f), (n, seed)
+
+    def test_dense_extraction_clause_free(self):
+        f = Formula(n=12, clauses=())
+        sols = brute_solutions(f)
+        assert sols.sigma == 4096
+        assert sols == brute_solutions_slow(f)
+
     def test_column_bit_convention(self):
         f = parse_dimacs("p cnf 3 1\n1 2 3 0")
         col = brute_column(f)
@@ -101,6 +113,9 @@ class TestMoebius:
                 assert (col >> a) & 1 == p.eval_mask(
                     sum(1 << (i + 1) for i, b in enumerate(bits) if b)
                 )
+
+    def test_ignores_bits_above_the_table(self):
+        assert anf_from_truth_column(0b1_0110, 2) == AnfPoly.parse("a1 + a2")
 
 
 class TestRandomFormula:
