@@ -25,6 +25,7 @@ __all__ = [
     "vars_of_mask",
     "var_columns",
     "all_ones_column",
+    "widen",
     "moebius",
     "set_bits",
 ]
@@ -67,8 +68,7 @@ def _parse_term(term: str) -> tuple[int, int]:
     coeff = int(m.group(1)) if m.group(1) is not None else 1
     mask = 0
     if m.group(2):
-        for piece in m.group(2).split("*"):
-            mask |= 1 << int(piece.strip()[1:])
+        mask = mask_of_vars(int(piece.strip()[1:]) for piece in m.group(2).split("*"))
     return coeff, mask
 
 
@@ -448,18 +448,20 @@ def var_columns(n: int) -> tuple[int, ...]:
     cached = _COLUMN_CACHE.get(n)
     if cached is not None:
         return cached
-    size = 1 << n
     cols = [0] * (n + 1)
     for i in range(1, n + 1):
-        width = 1 << i
-        col = ((1 << (width >> 1)) - 1) << (width >> 1)
-        while width < size:
-            col |= col << width
-            width <<= 1
-        cols[i] = col
+        half = 1 << (i - 1)
+        cols[i] = widen(((1 << half) - 1) << half, i, n)
     result = tuple(cols)
     _COLUMN_CACHE[n] = result
     return result
+
+
+def widen(table: int, k: int, n: int) -> int:
+    """A truth table over variables 1..k doubled up to one over 1..n."""
+    for i in range(k, n):
+        table |= table << (1 << i)
+    return table
 
 
 def all_ones_column(n: int) -> int:

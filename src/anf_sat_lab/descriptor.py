@@ -7,16 +7,23 @@ restrictions of the current entry and of the (composed) clause entry are
 combined, and a nonzero residual pushes a derived constraint onto a lower
 level, cascading until it vanishes.  A residual equal to the constant 1
 means the conjunction has no solution.
+
+Up to ``_TABLE_MERGE_MAX_LEVEL`` variables the sweep holds each entry h_i as
+its 2**i-bit truth table over a_1..a_i (bit ``a`` is the value at the
+assignment ``a << 1``, as in ``AnfPoly.truth_column``) and converts to
+polynomials once, for the result.  Above it a table would need 2**n bits,
+so the sweep runs on sparse monomial sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .anf import AnfPoly, moebius
-from .cnf import Clause3, SortedFormula, static_sets
+from .anf import AnfPoly, all_ones_column, moebius, set_bits, var_columns, widen
+from .cnf import Clause3, SortedFormula, StaticSets, static_sets
 from .errors import InvariantViolation, ResourceCap
 
 __all__ = [
@@ -27,6 +34,7 @@ __all__ = [
     "DEFAULT_LEN_CAP",
     "MONITORED_CLAIM",
     "identity_descriptor",
+    "clause_forbidden_monomial",
     "clause_descriptor",
     "merge_poly",
     "merge",
@@ -49,6 +57,7 @@ PROFILE_HEADER = "# anf-sat-lab profile v1"
 # 2**l <= _TABLE_MERGE_PAIRS * len(f) * len(g).
 _TABLE_MERGE_PAIRS = 512
 # Tables stay at most 2**20 bits; var_columns caches l of them per level.
+# Builds over at most this many variables run entirely on tables.
 _TABLE_MERGE_MAX_LEVEL = 20
 
 
@@ -83,6 +92,14 @@ class Descriptor:
                 out |= 1 << i
         return out
 
+    def image_indices(self) -> set[int]:
+        """Image {H(alpha)} as assignment indices (variable i is bit i - 1)."""
+        images = [0] * (1 << self.n)
+        for i, poly in enumerate(self.h):
+            for alpha in set_bits(poly.truth_column(self.n)):
+                images[alpha] |= 1 << i
+        return set(images)
+
     def max_len(self) -> int:
         return max((len(p) for p in self.h), default=0)
 
@@ -99,23 +116,32 @@ def identity_descriptor(n: int) -> Descriptor:
     return Descriptor(n=n, h=tuple(AnfPoly.var(i) for i in range(1, n + 1)))
 
 
+def clause_forbidden_monomial(clause: Clause3) -> AnfPoly:
+    """Indicator of a clause's forbidden cube, e.g. (x1+1)(x2+1)x3."""
+    out = AnfPoly.one()
+    for lit, forbidden in zip(clause.lits, clause.forbidden_triple()):
+        factor = AnfPoly.var(lit.var)
+        if forbidden == 0:
+            factor = factor + AnfPoly.one()
+        out = out * factor
+    return out
+
+
 def clause_descriptor(clause: Clause3, n: int) -> Descriptor:
     """Single-clause descriptor: identity except at the clause's top variable.
 
     The t-entry adds the clause's forbidden-triple indicator to a_t, so the
     one assignment falsifying the clause is redirected to its neighbour.
     """
+    _check_clause_fits(clause, n)
+    entries = [AnfPoly.var(i) for i in range(1, n + 1)]
+    entries[clause.t - 1] = clause_forbidden_monomial(clause) + AnfPoly.var(clause.t)
+    return Descriptor(n=n, h=tuple(entries))
+
+
+def _check_clause_fits(clause: Clause3, n: int) -> None:
     if clause.t > n:
         raise InvariantViolation(f"clause variable {clause.t} exceeds n = {n}")
-    indicator = AnfPoly.one()
-    for lit, forbidden in zip(clause.lits, clause.forbidden_triple()):
-        factor = AnfPoly.var(lit.var)
-        if forbidden == 0:
-            factor = factor + AnfPoly.one()
-        indicator = indicator * factor
-    entries = [AnfPoly.var(i) for i in range(1, n + 1)]
-    entries[clause.t - 1] = indicator + AnfPoly.var(clause.t)
-    return Descriptor(n=n, h=tuple(entries))
 
 
 def merge_poly(f_l: AnfPoly, g_l: AnfPoly, l: int) -> tuple[AnfPoly, AnfPoly]:
@@ -150,24 +176,29 @@ def _merge_sparse(f_l: AnfPoly, g_l: AnfPoly, l: int) -> tuple[AnfPoly, AnfPoly]
 
 
 def _merge_tables(f_l: AnfPoly, g_l: AnfPoly, l: int) -> tuple[AnfPoly, AnfPoly]:
-    """``merge_poly`` on truth tables over a_1..a_l: + is XOR and * is AND.
+    """``merge_poly`` through truth tables over a_1..a_l."""
+    f = moebius(f_l.coefficient_column(), l)
+    g = moebius(g_l.coefficient_column(), l)
+    h, residual = _merge_level(f, g, l)
+    return (
+        AnfPoly.from_coefficient_column(moebius(h, l)),
+        AnfPoly.from_coefficient_column(moebius(residual, l - 1)),
+    )
+
+
+def _merge_level(f: int, g: int, l: int) -> tuple[int, int]:
+    """One merge level on truth tables over a_1..a_l: + is XOR and * is AND.
 
     The low half of a table is its restriction a_l = 0, the high half its
     restriction a_l = 1; both are tables over a_1..a_{l-1}, as is the residual.
     """
     half = 1 << (l - 1)
     low = (1 << half) - 1
-    f = moebius(f_l.coefficient_column(), l)
-    g = moebius(g_l.coefficient_column(), l)
     f0, f1 = f & low, f >> half
     g0, g1 = g & low, g >> half
     a0, a1 = f0 ^ g0, f1 ^ g1
     p0, p1 = f0 & g0, f1 & g1
-    h = (a0 & p1 ^ p0) | (a1 & a0 ^ a1 & p0 ^ p1) << half
-    return (
-        AnfPoly.from_coefficient_column(moebius(h, l)),
-        AnfPoly.from_coefficient_column(moebius(a0 & a1, l - 1)),
-    )
+    return (a0 & p1 ^ p0) | (a1 & a0 ^ a1 & p0 ^ p1) << half, a0 & a1
 
 
 @dataclass(frozen=True)
@@ -180,7 +211,6 @@ class MergeStep:
     situation: str  # 'A' | 'B' | 'C'
     chain: tuple[int, ...]  # cascade levels j, in firing order
     lens: tuple[int, ...]  # len(h_i) for i = 1..n after this merge
-    composed_entry: str = ""  # clause t-entry with lower arguments substituted
     unsat: bool = False
 
     @property
@@ -196,12 +226,17 @@ class MergeTrace:
     steps: list[MergeStep] = field(default_factory=list)
     pred_edges: set[tuple[int, int]] = field(default_factory=set)  # (from, to), to < from
     formula: Optional[SortedFormula] = None
+    # pred_edges as an adjacency dict: from -> {to}
+    _succ: dict[int, set[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def record(self, step: MergeStep) -> None:
         self.steps.append(step)
         prev = step.t
         for j in step.chain:
             self.pred_edges.add((prev, j))
+            self._succ.setdefault(prev, set()).add(j)
             prev = j
 
     def predecessors(self, t: int) -> frozenset[int]:
@@ -209,18 +244,21 @@ class MergeTrace:
         seen: set[int] = set()
         frontier = [t]
         while frontier:
-            u = frontier.pop()
-            for a, b in self.pred_edges:
-                if a == u and b not in seen:
+            for b in self._succ.get(frontier.pop(), ()):
+                if b not in seen:
                     seen.add(b)
                     frontier.append(b)
         return frozenset(seen)
 
-    def w_star(self, t: int) -> frozenset[int]:
-        """Union of V(x_u) over successors u of t (t in P(u)), plus V(x_t)."""
+    @cached_property
+    def _sets(self) -> StaticSets:
         if self.formula is None:
             raise InvariantViolation("trace has no formula attached")
-        sets = static_sets(self.formula)
+        return static_sets(self.formula)
+
+    def w_star(self, t: int) -> frozenset[int]:
+        """Union of V(x_u) over successors u of t (t in P(u)), plus V(x_t)."""
+        sets = self._sets
         out = set(sets.v_of(t))
         for u in range(t + 1, self.n + 1):
             if t in self.predecessors(u):
@@ -230,9 +268,7 @@ class MergeTrace:
     def w(self, t: int) -> frozenset[int]:
         """W(x_t) = W*(x_t) without indices above t; W(x_n) = V(x_n)."""
         if t == self.n:
-            if self.formula is None:
-                raise InvariantViolation("trace has no formula attached")
-            return static_sets(self.formula).v_of(t)
+            return self._sets.v_of(t)
         return frozenset(i for i in self.w_star(t) if i <= t)
 
 
@@ -264,6 +300,15 @@ class _Unsatisfiable(Exception):
         self.chain = chain
 
 
+def _over_cap(l: int, size: int, cap: int) -> ResourceCap:
+    return ResourceCap(f"len(h_{l}) = {size} exceeds cap {cap}", where=str(l), size=size)
+
+
+def _check_chain(chain: list[int], j: int) -> None:
+    if chain and j >= chain[-1]:
+        raise InvariantViolation(f"cascade level {j} does not decrease (chain {chain})")
+
+
 def _compose_clause_entry(g_t: AnfPoly, f: list[AnfPoly], t: int) -> AnfPoly:
     """Substitute a_i <- f_i (i < t) into the clause's t-entry."""
     out = g_t
@@ -280,23 +325,21 @@ def _merge_clause(
     clause: Clause3,
     n: int,
     cap: int,
-) -> tuple[list[AnfPoly], tuple[int, ...], str]:
-    """Run the descending sweep for one clause.
+) -> tuple[list[AnfPoly], tuple[int, ...]]:
+    """Run the descending sweep for one clause on sparse polynomials.
 
-    Returns (h list, cascade chain, composed clause entry as text).  Raises
-    _Unsatisfiable when a residual degenerates to the constant 1 and
-    ResourceCap when an entry outgrows the cap.
+    Returns (h list, cascade chain).  Raises _Unsatisfiable when a residual
+    degenerates to the constant 1 and ResourceCap when an entry outgrows
+    the cap.
     """
     t = clause.t
-    g_clause = clause_descriptor(clause, n).entry(t)
+    g_clause = clause_forbidden_monomial(clause) + AnfPoly.var(t)
     h: list[AnfPoly] = [AnfPoly.zero()] * n
     chain: list[int] = []
-    composed_text = ""
     for l in range(n, 0, -1):
         fl = f[l - 1]
         if l == t:
             gl = _compose_clause_entry(g_clause, f, t)
-            composed_text = gl.to_text("a")
         else:
             gl = AnfPoly.var(l)
             if fl == gl:  # identity merged with identity stays identity
@@ -304,28 +347,19 @@ def _merge_clause(
                 continue
         h_l, residual = merge_poly(fl, gl, l)
         if len(h_l) > cap:
-            raise ResourceCap(
-                f"len(h_{l}) = {len(h_l)} exceeds cap {cap}", where=str(l), size=len(h_l)
-            )
+            raise _over_cap(l, len(h_l), cap)
         h[l - 1] = h_l
         # Cascade: fold the residual constraint into ever-lower entries.
         while not residual.is_zero():
             if residual.is_one():
                 raise _Unsatisfiable(tuple(chain))
             j = residual.max_var()
-            if chain and j >= chain[-1]:
-                raise InvariantViolation(
-                    f"cascade level {j} does not decrease (chain {chain})"
-                )
+            _check_chain(chain, j)
             chain.append(j)
             g_j = residual + AnfPoly.var(j)
             new_fj, residual = merge_poly(f[j - 1], g_j, j)
             if len(new_fj) > cap:
-                raise ResourceCap(
-                    f"len(h_{j}) = {len(new_fj)} exceeds cap {cap}",
-                    where=str(j),
-                    size=len(new_fj),
-                )
+                raise _over_cap(j, len(new_fj), cap)
             f[j - 1] = new_fj
     # Final substitution pass: a_i -> h_i inside every higher entry.
     for i in range(1, n + 1):
@@ -335,12 +369,162 @@ def _merge_clause(
         for j in range(i + 1, n + 1):
             h[j - 1] = h[j - 1].substitute(i, hi)
             if len(h[j - 1]) > cap:
-                raise ResourceCap(
-                    f"len(h_{j}) = {len(h[j - 1])} exceeds cap {cap}",
-                    where=str(j),
-                    size=len(h[j - 1]),
+                raise _over_cap(j, len(h[j - 1]), cap)
+    return h, tuple(chain)
+
+
+def _table_len(table: int, l: int) -> int:
+    """len() of the polynomial with this truth table over a_1..a_l."""
+    return moebius(table, l).bit_count()
+
+
+def _check_table_cap(table: int, l: int, cap: int) -> None:
+    if 1 << l > cap:  # len(h_l) <= 2**l, so smaller levels cannot exceed it
+        size = _table_len(table, l)
+        if size > cap:
+            raise _over_cap(l, size, cap)
+
+
+def _merge_clause_tables(
+    f: list[int],
+    clause: Clause3,
+    n: int,
+    cap: int,
+) -> tuple[list[int], tuple[int, ...]]:
+    """``_merge_clause`` with entry i held as its 2**i-bit truth table.
+
+    Composition with lower entries, restriction and substitution act on
+    whole tables; only the cap check converts, and only where 2**l > cap.
+    """
+    t = clause.t
+    h = [0] * n
+    chain: list[int] = []
+    for l in range(n, 0, -1):
+        fl = f[l - 1]
+        gl = var_columns(l)[l]
+        if l == t:
+            # a_t + the forbidden cube with a_v <- f_v below t
+            ones = all_ones_column(t)
+            cube = ones
+            for lit, forbidden in zip(clause.lits, clause.forbidden_triple()):
+                column = gl if lit.var == t else widen(f[lit.var - 1], lit.var, t)
+                cube &= column if forbidden else ones ^ column
+            gl ^= cube
+        elif fl == gl:  # identity merged with identity stays identity
+            h[l - 1] = fl
+            continue
+        h_l, residual = _merge_level(fl, gl, l)
+        _check_table_cap(h_l, l, cap)
+        h[l - 1] = h_l
+        width = l - 1  # the residual is a table over a_1..a_width
+        while residual:
+            if residual == all_ones_column(width):
+                raise _Unsatisfiable(tuple(chain))
+            # Its ANF uses a_width exactly when its two halves differ.
+            half = 1 << (width - 1)
+            while residual >> half == residual & ((1 << half) - 1):
+                residual >>= half
+                width -= 1
+                half >>= 1
+            j = width
+            _check_chain(chain, j)
+            chain.append(j)
+            new_fj, residual = _merge_level(f[j - 1], residual ^ var_columns(j)[j], j)
+            _check_table_cap(new_fj, j, cap)
+            f[j - 1] = new_fj
+            width = j - 1
+    # Final substitution pass: a_i -> h_i is a mux between the cofactors.
+    for i in range(1, n + 1):
+        hi = h[i - 1]
+        if hi == var_columns(i)[i]:
+            continue
+        shift = 1 << (i - 1)
+        for j in range(i + 1, n + 1):
+            hi |= hi << (1 << (j - 1))  # h_i over a_1..a_j
+            hj = h[j - 1]
+            at_one = hj & var_columns(j)[i]
+            r0 = hj ^ at_one
+            r0 |= r0 << shift
+            r1 = at_one | at_one >> shift
+            h[j - 1] = hj = r0 ^ (r0 ^ r1) & hi
+            _check_table_cap(hj, j, cap)
+    return h, tuple(chain)
+
+
+def _on_tables(n: int) -> bool:
+    return n <= _TABLE_MERGE_MAX_LEVEL
+
+
+def _entry_len(entry: AnfPoly | int, l: int) -> int:
+    return len(entry) if isinstance(entry, AnfPoly) else _table_len(entry, l)
+
+
+def _descriptor(entries: list, n: int) -> Descriptor:
+    """The descriptor of entries held as ``_merge_step`` holds them."""
+    if _on_tables(n):
+        entries = [
+            AnfPoly.from_coefficient_column(moebius(table, l))
+            for l, table in enumerate(entries, start=1)
+        ]
+    return Descriptor(n=n, h=tuple(entries))
+
+
+def _merge_step(
+    entries: list,
+    lens: list[int],
+    clause: Clause3,
+    n: int,
+    cap: int,
+    trace: Optional[MergeTrace],
+    step: int,
+    clause_index: int,
+) -> Optional[tuple[list, list[int]]]:
+    """Merge one clause into entries (tables when ``_on_tables(n)``).
+
+    Returns the merged entries with their lengths, or None when the result
+    is unsatisfiable; records the step when a trace is given.  ``lens`` are
+    the lengths of ``entries``; only entries that changed are measured again.
+    """
+    _check_clause_fits(clause, n)
+    sweep = _merge_clause_tables if _on_tables(n) else _merge_clause
+    try:
+        h, chain = sweep(list(entries), clause, n, cap)
+    except _Unsatisfiable as exc:
+        if trace is not None:
+            trace.record(
+                MergeStep(
+                    step=step,
+                    clause_index=clause_index,
+                    t=clause.t,
+                    situation="C",
+                    chain=exc.chain,
+                    lens=tuple(lens),
+                    unsat=True,
                 )
-    return h, tuple(chain), composed_text
+            )
+        return None
+    new_lens = [
+        old_len if new == old else _entry_len(new, l)
+        for l, (new, old, old_len) in enumerate(zip(h, entries, lens), start=1)
+    ]
+    if trace is not None:
+        if chain:
+            situation = "C"
+        elif h == entries:
+            situation = "A"
+        else:
+            situation = "B"
+        trace.record(
+            MergeStep(
+                step=step,
+                clause_index=clause_index,
+                t=clause.t,
+                situation=situation,
+                chain=chain,
+                lens=tuple(new_lens),
+            )
+        )
+    return h, new_lens
 
 
 def merge(
@@ -353,43 +537,13 @@ def merge(
     clause_index: int = 1,
 ) -> Optional[Descriptor]:
     """Merge one clause into a descriptor; None signals an unsatisfiable result."""
-    work = list(f.h)
-    try:
-        h, chain, composed = _merge_clause(work, clause, f.n, cap)
-    except _Unsatisfiable as exc:
-        if trace is not None:
-            trace.record(
-                MergeStep(
-                    step=step,
-                    clause_index=clause_index,
-                    t=clause.t,
-                    situation="C",
-                    chain=exc.chain,
-                    lens=tuple(len(p) for p in f.h),
-                    unsat=True,
-                )
-            )
-        return None
-    result = Descriptor(n=f.n, h=tuple(h))
-    if trace is not None:
-        if chain:
-            situation = "C"
-        elif result.h == f.h:
-            situation = "A"
-        else:
-            situation = "B"
-        trace.record(
-            MergeStep(
-                step=step,
-                clause_index=clause_index,
-                t=clause.t,
-                situation=situation,
-                chain=chain,
-                lens=tuple(len(p) for p in result.h),
-                composed_entry=composed,
-            )
-        )
-    return result
+    entries: list = list(f.h)
+    if _on_tables(f.n):
+        entries = [p.truth_column(l) for l, p in enumerate(f.h, start=1)]
+    merged = _merge_step(
+        entries, [len(p) for p in f.h], clause, f.n, cap, trace, step, clause_index
+    )
+    return None if merged is None else _descriptor(merged[0], f.n)
 
 
 def build(
@@ -399,23 +553,25 @@ def build(
 ) -> BuildResult:
     """Fold all clauses of a sorted formula into a single descriptor."""
     trace = MergeTrace(n=f.n, formula=f)
-    current = identity_descriptor(f.n)
+    entries: list = [
+        var_columns(l)[l] if _on_tables(f.n) else AnfPoly.var(l)
+        for l in range(1, f.n + 1)
+    ]
+    lens = [1] * f.n
     for pos, clause in enumerate(f.clauses, start=1):
         try:
-            merged = merge(
-                current, clause, trace, cap=cap, step=pos, clause_index=pos
-            )
+            merged = _merge_step(entries, lens, clause, f.n, cap, trace, pos, pos)
         except ResourceCap as exc:
             return BuildResult(
                 status="capped",
-                descriptor=current,
+                descriptor=_descriptor(entries, f.n),
                 trace=trace,
                 capped_at=(int(exc.where), exc.size),
             )
         if merged is None:
             return BuildResult(status="unsat", descriptor=None, trace=trace)
-        current = merged
-    return BuildResult(status="ok", descriptor=current, trace=trace)
+        entries, lens = merged
+    return BuildResult(status="ok", descriptor=_descriptor(entries, f.n), trace=trace)
 
 
 def profile_csv(trace: MergeTrace) -> str:
@@ -439,7 +595,7 @@ def profile_csv(trace: MergeTrace) -> str:
     if trace.formula is not None:
         lines.append("# predecessors and windows")
         lines.append("t,P,V,W_star,W")
-        sets = static_sets(trace.formula)
+        sets = trace._sets
         for t in range(1, trace.n + 1):
             p = ";".join(str(j) for j in sorted(trace.predecessors(t)))
             v = ";".join(str(j) for j in sorted(sets.v_of(t)))

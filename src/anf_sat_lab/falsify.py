@@ -78,20 +78,6 @@ class FalsifyStats:
     per_claim: dict = field(default_factory=dict)
 
 
-def _image_indices(descriptor) -> set[int]:
-    """Image of a descriptor as assignment indices (var i = bit i-1)."""
-    n = descriptor.n
-    cols = [descriptor.entry(i).truth_column(n) for i in range(1, n + 1)]
-    out: set[int] = set()
-    for a in range(1 << n):
-        x = 0
-        for i, col in enumerate(cols):
-            if (col >> a) & 1:
-                x |= 1 << i
-        out.add(x)
-    return out
-
-
 def _check_merge_soundness(f: Formula) -> Optional[tuple[str, str]]:
     """Does the built descriptor's image equal the brute-force solution set?"""
     expected_col = brute_column(f)
@@ -103,7 +89,7 @@ def _check_merge_soundness(f: Formula) -> Optional[tuple[str, str]]:
             return None
         return (f"{bin(expected_col).count('1')} solutions", "UNSAT")
     assert result.descriptor is not None
-    got = _image_indices(result.descriptor)
+    got = result.descriptor.image_indices()
     expected = {a for a in range(1 << f.n) if (expected_col >> a) & 1}
     if got == expected:
         return None

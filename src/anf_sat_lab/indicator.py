@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .anf import AnfPoly, IntPoly
 from .cnf import Formula, SortedFormula, split_plus_minus
-from .descriptor import Descriptor, build
+from .descriptor import Descriptor, build, clause_forbidden_monomial
 from .errors import Property2Violation, ResourceCap
 from .solutions import SolutionSet
 
@@ -165,17 +165,6 @@ def indicator_from_descriptor(
         h.entry(i) + AnfPoly.var(i) + AnfPoly.one() for i in range(1, h.n + 1)
     ]
     return product_with_cap(factors, cap)
-
-
-def clause_forbidden_monomial(clause) -> AnfPoly:
-    """Indicator of a clause's forbidden cube, e.g. (x1+1)(x2+1)x3."""
-    out = AnfPoly.one()
-    for lit, forbidden in zip(clause.lits, clause.forbidden_triple()):
-        factor = AnfPoly.var(lit.var)
-        if forbidden == 0:
-            factor = factor + AnfPoly.one()
-        out = out * factor
-    return out
 
 
 def indicator_from_clauses(

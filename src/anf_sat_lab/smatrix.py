@@ -264,10 +264,8 @@ def image(h: Descriptor, *, limit: int = 25) -> SMatrix:
     """Exhaustive image {H(alpha)} as a concrete matrix over variables 1..n."""
     if h.n > limit:
         raise TooLarge(f"image enumeration over {h.n} > {limit} variables")
-    support = tuple(range(1, h.n + 1))
-    seen: set[tuple[int, ...]] = set()
-    for alpha_index in range(1 << h.n):
-        out_mask = h.apply_mask(alpha_index << 1)
-        seen.add(tuple((out_mask >> i) & 1 for i in range(1, h.n + 1)))
-    return SMatrix.from_assignments(support, seen)
+    return SMatrix.from_assignments(
+        tuple(range(1, h.n + 1)),
+        (tuple((x >> i) & 1 for i in range(h.n)) for x in h.image_indices()),
+    )
 

@@ -269,3 +269,19 @@ class TestIntPoly:
     def test_text_roundtrip(self):
         q = IntPoly.parse("7*x1*x2 + 2*x3 + 1")
         assert IntPoly.parse(q.to_text()) == q
+
+
+class TestParseRejectsVariableZero:
+    @pytest.mark.parametrize("text", ["a0", "a0 + a1", "x0", "1 + a2*x0", "3*a0*a1"])
+    def test_anf_parse(self, text):
+        with pytest.raises(ValueError):
+            AnfPoly.parse(text)
+
+    @pytest.mark.parametrize("text", ["x0", "2*x0 + 1", "x1*x0", "a0 + x2"])
+    def test_int_parse(self, text):
+        with pytest.raises(ValueError):
+            IntPoly.parse(text)
+
+    def test_variable_one_still_parses(self):
+        assert AnfPoly.parse("a1 + x10").masks == {1 << 1, 1 << 10}
+        assert IntPoly.parse("2*x1 + a10").coeffs == {1 << 1: 2, 1 << 10: 1}

@@ -313,3 +313,149 @@ class TestTraceAndProfile:
         p3 = result.trace.predecessors(3)
         assert p3 <= {1, 2}
         assert p3  # at least one cascade fired from level 3
+
+
+def grid_formulas(seeds_small=2, seeds_large=1):
+    """Seeded formulas over n = 3..13 at four clause ratios."""
+    from math import comb
+
+    for n in range(3, 14):
+        for ratio in (1, 2.5, 4.26, 6):
+            m = min(8 * comb(n, 3), max(1, round(ratio * n)))
+            for seed in range(1, 1 + (seeds_small if n <= 10 else seeds_large)):
+                yield sort_clauses(random_formula(n, m, seed))
+
+
+def build_signature(result):
+    return (
+        result.status,
+        result.descriptor,
+        result.capped_at,
+        result.trace.steps,
+        result.trace.pred_edges,
+    )
+
+
+class TestTableFold:
+    """Builds up to _TABLE_MERGE_MAX_LEVEL variables run on truth tables."""
+
+    def test_table_build_equals_sparse_fold(self, monkeypatch):
+        statuses = set()
+        for sf in grid_formulas():
+            for cap in (4, 16, descriptor.DEFAULT_LEN_CAP):
+                with monkeypatch.context() as m:
+                    m.setattr(descriptor, "_on_tables", lambda n: False)
+                    want = build_signature(build(sf, cap=cap))
+                got = build_signature(build(sf, cap=cap))
+                assert got == want, (sf.n, sf.m, cap)
+                statuses.add(got[0])
+        assert statuses == {"ok", "unsat", "capped"}
+
+    def test_public_merge_equals_sparse_merge(self, monkeypatch):
+        for seed in range(1, 9):
+            sf = sort_clauses(random_formula(9, 38, seed))
+            current = identity_descriptor(9)
+            tables, sparse = MergeTrace(n=9), MergeTrace(n=9)
+            for pos, clause in enumerate(sf.clauses, start=1):
+                got = merge(current, clause, tables, step=pos, clause_index=pos)
+                with monkeypatch.context() as m:
+                    m.setattr(descriptor, "_on_tables", lambda n: False)
+                    want = merge(current, clause, sparse, step=pos, clause_index=pos)
+                assert got == want and tables == sparse, (seed, pos)
+                if got is None:
+                    break
+                current = got
+
+    def test_gate_depends_only_on_n(self, monkeypatch):
+        calls = []
+        for name in ("_merge_clause_tables", "_merge_clause"):
+            sweep = getattr(descriptor, name)
+
+            def spy(*args, _sweep=sweep, _name=name):
+                calls.append((_name, args[2]))
+                return _sweep(*args)
+
+            monkeypatch.setattr(descriptor, name, spy)
+        top = descriptor._TABLE_MERGE_MAX_LEVEL
+        for n in (top, top + 1):
+            result = build(sort_clauses(random_formula(n, 3, 1)))
+            assert result.ok and len(result.trace.steps) == 3
+        assert calls == [("_merge_clause_tables", top)] * 3 + [("_merge_clause", top + 1)] * 3
+        calls.clear()
+        clause = Clause3.from_signed((1, -2, 3))
+        assert merge(identity_descriptor(top), clause) == clause_descriptor(clause, top)
+        assert merge(identity_descriptor(top + 1), clause) == clause_descriptor(clause, top + 1)
+        assert calls == [("_merge_clause_tables", top), ("_merge_clause", top + 1)]
+
+    def test_small_cap_raises_alike_on_both_paths(self, monkeypatch):
+        from anf_sat_lab.errors import ResourceCap
+
+        def first_cap(sf, cap):
+            current = identity_descriptor(sf.n)
+            for clause in sf.clauses:
+                try:
+                    current = merge(current, clause, cap=cap)
+                except ResourceCap as exc:
+                    return exc.where, exc.size, str(exc), current
+                if current is None:
+                    return None
+
+        hits = 0
+        for seed in range(1, 7):
+            sf = sort_clauses(random_formula(10, 43, seed))
+            for cap in (2, 3, 5, 9):
+                got = first_cap(sf, cap)
+                with monkeypatch.context() as m:
+                    m.setattr(descriptor, "_on_tables", lambda n: False)
+                    want = first_cap(sf, cap)
+                    want_build = build(sf, cap=cap)
+                assert got == want, (seed, cap)
+                result = build(sf, cap=cap)
+                assert result.capped_at == want_build.capped_at
+                assert result.descriptor == want_build.descriptor
+                if got is not None:
+                    hits += 1
+                    assert result.capped_at == (int(got[0]), got[1])
+                    assert got[1] > cap
+        assert hits > 12
+
+
+class TestTraceLookups:
+    def test_profile_bytes_pinned(self):
+        # sha256 of the profile CSV as rendered before truth-table builds
+        import hashlib
+
+        result = build(sort_clauses(random_formula(10, 43, 1)))
+        text = profile_csv(result.trace)
+        assert len(text.splitlines()) == 57
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c70f88de5c6ba6595298822bbc452b5e8d4d279cc0ea5f3e89eec7af93065491"
+        )
+
+    def test_predecessors_match_edge_scan(self):
+        for seed in range(1, 16):
+            trace = build(sort_clauses(random_formula(10, 43, seed))).trace
+            for t in range(1, 11):
+                seen, frontier = set(), [t]
+                while frontier:
+                    u = frontier.pop()
+                    for a, b in trace.pred_edges:
+                        if a == u and b not in seen:
+                            seen.add(b)
+                            frontier.append(b)
+                assert trace.predecessors(t) == seen
+
+    def test_static_sets_once_per_trace(self, monkeypatch):
+        calls = []
+        real = descriptor.static_sets
+
+        def counting(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(descriptor, "static_sets", counting)
+        trace = build(sort_clauses(random_formula(10, 43, 2))).trace
+        profile_csv(trace)
+        for t in range(1, 11):
+            trace.w(t)
+        assert len(calls) == 1

@@ -229,3 +229,30 @@ class TestTextJson:
     def test_json_roundtrip(self):
         a = SMatrix((2, 3), ((N, 0),))
         assert SMatrix.from_json(a.to_json()) == a
+
+
+def test_image_enumerator_shared_with_falsifier():
+    # smatrix.image and the MERGE_SOUNDNESS check both read
+    # Descriptor.image_indices; both agree with pointwise evaluation
+    from anf_sat_lab.cnf import sort_clauses
+    from anf_sat_lab.descriptor import build
+    from anf_sat_lab.falsify import check_claim
+    from anf_sat_lab.oracle import random_formula
+
+    exact = inexact = 0
+    for seed in range(1, 25):
+        f = random_formula(8, 30, seed)
+        result = build(sort_clauses(f))
+        if not result.ok:
+            continue
+        h = result.descriptor
+        indices = h.image_indices()
+        from_matrix = {
+            sum(bit << i for i, bit in enumerate(row)) for row in image(h).assignments()
+        }
+        assert indices == from_matrix == {m >> 1 for m in descriptor_image_masks(h)}
+        solutions = {m >> 1 for m in brute_solutions(f).masks()}
+        assert (check_claim("MERGE_SOUNDNESS", f) is None) == (indices == solutions)
+        exact += indices == solutions
+        inexact += indices != solutions
+    assert exact and inexact  # the corpus exercises both outcomes
