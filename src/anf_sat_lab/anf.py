@@ -23,6 +23,7 @@ __all__ = [
     "IntPoly",
     "mask_of_vars",
     "vars_of_mask",
+    "bits_of_mask",
     "var_columns",
     "all_ones_column",
     "widen",
@@ -52,6 +53,14 @@ def vars_of_mask(mask: int) -> tuple[int, ...]:
         v += 1
         m >>= 1
     return tuple(out)
+
+
+def bits_of_mask(mask: int, n: int) -> tuple[int, ...]:
+    """Bit vector of a bitmask over variables 1..n (position i-1 = variable i).
+
+    Inverse of ``mask_of_vars(i for i, b in enumerate(bits, 1) if b)``.
+    """
+    return tuple((mask >> i) & 1 for i in range(1, n + 1))
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\s*\*?\s*)?((?:[ax]\d+)(?:\s*\*\s*[ax]\d+)*)?$")
@@ -245,11 +254,7 @@ class AnfPoly:
                 f"assignment of length {len(assignment)} does not cover "
                 f"variable {self.max_var()}"
             )
-        mask = 0
-        for pos, bit in enumerate(assignment, start=1):
-            if bit:
-                mask |= 1 << pos
-        return self.eval_mask(mask)
+        return self.eval_mask(mask_of_vars(i for i, b in enumerate(assignment, 1) if b))
 
     def truth_column(self, n: int) -> int:
         """Truth table over all 2**n assignments packed into one int.
@@ -407,11 +412,7 @@ class IntPoly:
                 f"assignment of length {len(assignment)} does not cover "
                 f"variable {max_var}"
             )
-        mask = 0
-        for pos, bit in enumerate(assignment, start=1):
-            if bit:
-                mask |= 1 << pos
-        return self.eval_mask(mask)
+        return self.eval_mask(mask_of_vars(i for i, b in enumerate(assignment, 1) if b))
 
     def to_text(self, prefix: str = "x") -> str:
         if not self._coeffs:

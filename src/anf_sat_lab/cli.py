@@ -15,12 +15,14 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from .anf import bits_of_mask, mask_of_vars
 from .cnf import Formula, parse_dimacs, formula_to_json, sort_clauses, to_dimacs
 from .coeffs import CoefficientQuery, decide_sat_bounded
 from .descriptor import DEFAULT_LEN_CAP, build, profile_csv
 from .errors import AnfSatError, ResourceCap
 from .falsify import CLAIM_IDS, falsify
 from .indicator import (
+    DEFAULT_TERM_CAP,
     factor_sequence,
     indicator_from_clauses,
     indicator_from_descriptor,
@@ -150,10 +152,11 @@ def _cmd_indicator(args: argparse.Namespace) -> int:
     f = _load_formula(args.input)
     try:
         if args.form == "clauses":
-            poly = indicator_from_clauses(f, args.mode)
+            poly = indicator_from_clauses(f, args.mode, cap=args.cap)
         elif args.form == "descriptor":
             result = build(sort_clauses(f), cap=args.cap)
             if result.capped:
+                sys.stderr.write("build hit the length cap\n")
                 return EXIT_CAPPED
             if result.unsat:
                 _write_output(args.output, "0\n")
@@ -162,10 +165,10 @@ def _cmd_indicator(args: argparse.Namespace) -> int:
             if args.mode != "gf2":
                 sys.stderr.write("descriptor form is GF(2) only\n")
                 return EXIT_SOFT_FAIL
-            poly = indicator_from_descriptor(result.descriptor)
+            poly = indicator_from_descriptor(result.descriptor, cap=args.cap)
         else:
             fs = factor_sequence(sort_clauses(f))
-            poly = indicator_from_factors(fs, args.mode)
+            poly = indicator_from_factors(fs, args.mode, cap=args.cap)
     except ResourceCap as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_CAPPED
@@ -185,10 +188,7 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
                 f"--delta needs {f.n} comma-separated 0/1 entries or 'top'\n"
             )
             return EXIT_USAGE
-        mask = 0
-        for i, b in enumerate(bits, start=1):
-            if b == "1":
-                mask |= 1 << i
+        mask = mask_of_vars(i for i, b in enumerate(bits, 1) if b == "1")
     query = CoefficientQuery.from_factor_sequence(
         fs, args.mode, frontier_cap=args.frontier_cap
     )
@@ -198,7 +198,7 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
         sys.stderr.write(f"{exc}\n")
         return EXIT_CAPPED
     payload = {
-        "delta": [(mask >> i) & 1 for i in range(1, f.n + 1)],
+        "delta": list(bits_of_mask(mask, f.n)),
         "coefficient": value,
         "mode": args.mode,
         "work": {
@@ -307,7 +307,14 @@ def _build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--mode", choices=("gf2", "int"), default="gf2")
     p.add_argument("--form", choices=("clauses", "descriptor", "factors"), default="clauses")
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_LEN_CAP)
+    p.add_argument(
+        "--cap",
+        type=_positive_int,
+        default=DEFAULT_TERM_CAP,
+        help="term cap of the expansion, and length cap of the descriptor-form "
+        "build; exit 30 when hit (the build cannot reach the default over at "
+        "most 20 variables, since len(h_l) <= 2**l)",
+    )
     p.set_defaults(func=_cmd_indicator)
 
     p = sub.add_parser("coeff", help="query one product coefficient")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Optional
 
-from .anf import AnfPoly, IntPoly, vars_of_mask
+from .anf import AnfPoly, IntPoly, mask_of_vars, vars_of_mask
 from .cnf import Formula, relabel_by_frequency, sort_clauses
 from .errors import ResourceCap
 from .indicator import FactorSequence, factor_sequence
@@ -205,42 +205,25 @@ def sweep(
     n = fs.n
     q = CoefficientQuery.from_factor_sequence(fs, mode, frontier_cap=frontier_cap)
     full = ((1 << (n + 1)) - 1) & ~1  # variables 1..n
+    masks = (
+        full & ~mask_of_vars(zero_positions)
+        for zeros in range(0, min(k, n) + 1)
+        for zero_positions in combinations(range(1, n + 1), zeros)
+    )
+    witness, capped = None, False
     try:
-        for zeros in range(0, min(k, n) + 1):
-            for zero_positions in combinations(range(1, n + 1), zeros):
-                mask = full
-                for z in zero_positions:
-                    mask &= ~(1 << z)
-                value = q.coefficient(mask)
-                if value % 2:
-                    return SweepVerdict(
-                        k=k,
-                        satisfiable=True,
-                        witness_mask=mask,
-                        mode=mode,
-                        queries=q.queries,
-                        max_frontier=q.max_frontier(),
-                        frontier_sizes=tuple(q.frontier_sizes()),
-                    )
+        witness = next((mask for mask in masks if q.coefficient(mask) % 2), None)
     except ResourceCap:
-        return SweepVerdict(
-            k=k,
-            satisfiable=False,
-            witness_mask=None,
-            mode=mode,
-            queries=q.queries,
-            max_frontier=q.max_frontier(),
-            frontier_sizes=tuple(q.frontier_sizes()),
-            capped=True,
-        )
+        capped = True
     return SweepVerdict(
         k=k,
-        satisfiable=False,
-        witness_mask=None,
+        satisfiable=witness is not None,
+        witness_mask=witness,
         mode=mode,
         queries=q.queries,
         max_frontier=q.max_frontier(),
         frontier_sizes=tuple(q.frontier_sizes()),
+        capped=capped,
     )
 
 

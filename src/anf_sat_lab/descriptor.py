@@ -12,7 +12,7 @@ Up to ``_TABLE_MERGE_MAX_LEVEL`` variables the sweep holds each entry h_i as
 its 2**i-bit truth table over a_1..a_i (bit ``a`` is the value at the
 assignment ``a << 1``, as in ``AnfPoly.truth_column``) and converts to
 polynomials once, for the result.  Above it a table would need 2**n bits,
-so the sweep runs on sparse monomial sets.
+so the sweep runs on sparse monomial sets through ``merge_poly``.
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ DEFAULT_LEN_CAP = 1 << 20
 
 PROFILE_HEADER = "# anf-sat-lab profile v1"
 
-# A merge at level l costs about l * 2**l bit operations on truth tables and
-# at least len(f) * len(g) monomial products on sparse sets.  Timed per call
-# (README, performance notes), the table path wins once
-# 2**l <= _TABLE_MERGE_PAIRS * len(f) * len(g).
-_TABLE_MERGE_PAIRS = 512
 # Tables stay at most 2**20 bits; var_columns caches l of them per level.
 # Builds over at most this many variables run entirely on tables.
 _TABLE_MERGE_MAX_LEVEL = 20
@@ -155,14 +150,6 @@ def merge_poly(f_l: AnfPoly, g_l: AnfPoly, l: int) -> tuple[AnfPoly, AnfPoly]:
         raise InvariantViolation(
             f"merge at level {l} received polynomials over higher variables"
         )
-    pairs = len(f_l) * len(g_l)
-    if l <= _TABLE_MERGE_MAX_LEVEL and 1 << l <= _TABLE_MERGE_PAIRS * pairs:
-        return _merge_tables(f_l, g_l, l)
-    return _merge_sparse(f_l, g_l, l)
-
-
-def _merge_sparse(f_l: AnfPoly, g_l: AnfPoly, l: int) -> tuple[AnfPoly, AnfPoly]:
-    """``merge_poly`` by ring operations on monomial sets."""
     f0, f1 = f_l.restrict(l, 0), f_l.restrict(l, 1)
     g0, g1 = g_l.restrict(l, 0), g_l.restrict(l, 1)
     a0 = f0 + g0
@@ -173,17 +160,6 @@ def _merge_sparse(f_l: AnfPoly, g_l: AnfPoly, l: int) -> tuple[AnfPoly, AnfPoly]
     al1 = al + AnfPoly.one()
     h = al1 * (a0 * p1 + p0) + al * (a1 * a0 + a1 * p0 + p1)
     return h, a0 * a1
-
-
-def _merge_tables(f_l: AnfPoly, g_l: AnfPoly, l: int) -> tuple[AnfPoly, AnfPoly]:
-    """``merge_poly`` through truth tables over a_1..a_l."""
-    f = moebius(f_l.coefficient_column(), l)
-    g = moebius(g_l.coefficient_column(), l)
-    h, residual = _merge_level(f, g, l)
-    return (
-        AnfPoly.from_coefficient_column(moebius(h, l)),
-        AnfPoly.from_coefficient_column(moebius(residual, l - 1)),
-    )
 
 
 def _merge_level(f: int, g: int, l: int) -> tuple[int, int]:

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional
 from . import descriptor as _descriptor_mod
 from . import indicator as _indicator_mod
 from . import coeffs as _coeffs_mod
-from .anf import all_ones_column
+from .anf import all_ones_column, set_bits
 from .cnf import Clause3, Formula, sort_clauses, to_dimacs
 from .coeffs import decide_sat_bounded
 from .descriptor import build
@@ -90,7 +90,7 @@ def _check_merge_soundness(f: Formula) -> Optional[tuple[str, str]]:
         return (f"{bin(expected_col).count('1')} solutions", "UNSAT")
     assert result.descriptor is not None
     got = result.descriptor.image_indices()
-    expected = {a for a in range(1 << f.n) if (expected_col >> a) & 1}
+    expected = set(set_bits(expected_col))
     if got == expected:
         return None
     return (

@@ -10,7 +10,7 @@ positive/negative split of each variable's clause group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 from .anf import AnfPoly, IntPoly
 from .cnf import Formula, SortedFormula, split_plus_minus
@@ -28,7 +28,6 @@ __all__ = [
     "indicator_from_factors",
     "clause_forbidden_monomial",
     "product_with_cap",
-    "int_product_with_cap",
 ]
 
 # That the factor-sequence product equals the true indicator is a monitored
@@ -36,6 +35,8 @@ __all__ = [
 MONITORED_CLAIM = "INDICATOR6"
 
 DEFAULT_TERM_CAP = 1 << 22
+
+_P = TypeVar("_P", AnfPoly, IntPoly)
 
 
 @dataclass(frozen=True)
@@ -131,21 +132,9 @@ def _one_sided_entry(group: SortedFormula, t: int, *, positive: bool) -> AnfPoly
     return h_t
 
 
-def product_with_cap(factors: Iterable[AnfPoly], cap: int) -> AnfPoly:
-    acc = AnfPoly.one()
-    for factor in factors:
-        acc = acc * factor
-        if len(acc) > cap:
-            raise ResourceCap(
-                f"indicator expansion reached {len(acc)} terms (cap {cap})",
-                where="indicator",
-                size=len(acc),
-            )
-    return acc
-
-
-def int_product_with_cap(factors: Iterable[IntPoly], cap: int) -> IntPoly:
-    acc = IntPoly.one()
+def product_with_cap(factors: Iterable[_P], cap: int, unit: _P = AnfPoly.one()) -> _P:
+    """Multiply the factors onto ``unit``, raising ResourceCap past ``cap`` terms."""
+    acc = unit
     for factor in factors:
         acc = acc * factor
         if len(acc) > cap:
@@ -181,7 +170,7 @@ def indicator_from_clauses(
             IntPoly.lift(clause_forbidden_monomial(cl)) + IntPoly.one()
             for cl in f.clauses
         ]
-        return int_product_with_cap(int_factors, cap)
+        return product_with_cap(int_factors, cap, IntPoly.one())
     raise ValueError(f"mode must be 'gf2' or 'int', got {mode!r}")
 
 
@@ -206,7 +195,7 @@ def indicator_from_factors(
     if mode == "gf2":
         return product_with_cap(fs.all_factors(), cap)
     if mode == "int":
-        return int_product_with_cap(
-            [IntPoly.lift(p) for p in fs.all_factors()], cap
+        return product_with_cap(
+            [IntPoly.lift(p) for p in fs.all_factors()], cap, IntPoly.one()
         )
     raise ValueError(f"mode must be 'gf2' or 'int', got {mode!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .anf import AnfPoly
+from .anf import AnfPoly, bits_of_mask
 from .descriptor import Descriptor
 from .errors import EmptySet, TooLarge, VarOutOfRange
 
@@ -266,6 +266,6 @@ def image(h: Descriptor, *, limit: int = 25) -> SMatrix:
         raise TooLarge(f"image enumeration over {h.n} > {limit} variables")
     return SMatrix.from_assignments(
         tuple(range(1, h.n + 1)),
-        (tuple((x >> i) & 1 for i in range(h.n)) for x in h.image_indices()),
+        (bits_of_mask(x << 1, h.n) for x in h.image_indices()),
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .anf import bits_of_mask, mask_of_vars
 from .descriptor import Descriptor
 from .errors import InvariantViolation
 
@@ -31,14 +32,9 @@ class SolutionSet:
 
     def masks(self) -> frozenset[int]:
         """Solutions as bitmasks (bit i = variable i)."""
-        out = set()
-        for sol in self.solutions:
-            m = 0
-            for i, b in enumerate(sol, start=1):
-                if b:
-                    m |= 1 << i
-            out.add(m)
-        return frozenset(out)
+        return frozenset(
+            mask_of_vars(i for i, b in enumerate(sol, 1) if b) for sol in self.solutions
+        )
 
     def to_dimacs_v_lines(self) -> str:
         lines = []
@@ -54,7 +50,7 @@ class SolutionSet:
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int], truncated: bool = False) -> "SolutionSet":
-        sols = sorted(tuple((m >> i) & 1 for i in range(1, n + 1)) for m in masks)
+        sols = sorted(bits_of_mask(m, n) for m in masks)
         return cls(n=n, solutions=tuple(sols), truncated=truncated)
 
 
@@ -118,7 +114,7 @@ def intersect_images(
                 st.hit_solution_cap = True
                 truncated = True
                 break
-            found.append(tuple((prefix >> i) & 1 for i in range(1, n + 1)))
+            found.append(bits_of_mask(prefix, n))
             st.emitted += 1
             continue
         st.nodes += 1

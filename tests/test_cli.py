@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -129,6 +130,21 @@ class TestIndicator:
             assert code == 0
             outs.append(AnfPoly.parse(out.strip()))
         assert outs[0] == outs[1] == outs[2]
+
+    def test_cap_stops_the_expansion(self, tmp_path, capsys):
+        from anf_sat_lab.cnf import to_dimacs
+        from anf_sat_lab.oracle import random_formula
+
+        p = tmp_path / "wide.cnf"
+        p.write_text(to_dimacs(random_formula(14, 8, 1)))
+        code, out, err = run_main(["indicator", str(p), "--cap", "10"], capsys)
+        assert code == 30
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "cap 10" in err
+        code, out, err = run_main(
+            ["indicator", str(p), "--form", "descriptor", "--cap", "2"], capsys
+        )
+        assert (code, out, err) == (30, "", "build hit the length cap\n")
 
 
 class TestCoeffDecide:
@@ -268,3 +284,63 @@ class TestSpecExamples:
         with pytest.raises(SystemExit) as exc:
             main(["build", two_cnf, "--cap", "0"])
         assert exc.value.code == 64
+
+
+class TestPinnedBytes:
+    """Argv, exit code and stdout of a seeded corpus, pinned by one sha256.
+
+    The digest was taken before the merge and conversion refactors that
+    must leave CLI output unchanged; any change to a byte printed by these
+    runs changes it.
+    """
+
+    # (name, n, m, seed): SAT, UNSAT-prone and sparse instances at n <= 11
+    CORPUS = [
+        ("a", 5, 21, 1),
+        ("b", 6, 26, 2),
+        ("c", 7, 30, 3),
+        ("d", 8, 12, 4),
+        ("e", 8, 34, 5),
+        ("f", 9, 38, 6),
+        ("g", 10, 43, 7),
+        ("h", 11, 20, 8),
+        ("i", 11, 47, 9),
+    ]
+    DIGEST = "5283aa8836b43c9bea3f49956d1b8b9801ea2d80b4f5c2ab295c1cf80378e49d"
+
+    @staticmethod
+    def _runs(n):
+        runs = [
+            ["build", "{}", "--trace", "-"],
+            ["build", "{}", "--cap", "4"],
+            ["enumerate", "{}"],
+            ["enumerate", "{}", "--emit", "json"],
+            ["profile", "{}"],
+            ["decide", "{}", "--k", "2"],
+            ["coeff", "{}"],
+            ["coeff", "{}", "--mode", "int", "--delta", ",".join("1" * (n - 1) + "0")],
+        ]
+        if n <= 8:
+            runs += [
+                ["indicator", "{}"],
+                ["indicator", "{}", "--form", "descriptor"],
+                ["indicator", "{}", "--form", "factors", "--mode", "int"],
+            ]
+        return runs
+
+    def test_corpus_digest(self, tmp_path, capsys):
+        from anf_sat_lab.cnf import to_dimacs
+        from anf_sat_lab.oracle import random_formula
+
+        digest = hashlib.sha256()
+        for name, n, m, seed in self.CORPUS:
+            path = tmp_path / f"{name}.cnf"
+            path.write_text(to_dimacs(random_formula(n, m, seed)))
+            for argv in self._runs(n):
+                code, out, _ = run_main([a.format(path) for a in argv], capsys)
+                shown = [a.format(name) for a in argv]
+                digest.update(f"{shown} {code}\n{out}".encode())
+        argv = ["falsify", "--count", "3", "--n", "6", "--seed", "11"]
+        code, out, _ = run_main(argv, capsys)
+        digest.update(f"{argv} {code}\n{out}".encode())
+        assert digest.hexdigest() == self.DIGEST

@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from anf_sat_lab.anf import AnfPoly
+from anf_sat_lab.anf import AnfPoly, moebius
 from anf_sat_lab.cnf import Clause3, Formula, parse_dimacs, sort_clauses
 from anf_sat_lab import descriptor
 from anf_sat_lab.descriptor import (
@@ -155,30 +155,33 @@ class TestMergePolyPaths:
                 f = random_poly(rng, l, rng.choice((0, 1, 3, 10, 30)))
                 g = random_poly(rng, l, rng.choice((0, 1, 3, 10, 30)))
                 want = sparse_merge(f, g, l)
-                assert descriptor._merge_tables(f, g, l) == want, (l, f, g)
-                assert descriptor._merge_sparse(f, g, l) == want, (l, f, g)
                 assert merge_poly(f, g, l) == want, (l, f, g)
+                h, residual = descriptor._merge_level(f.truth_column(l), g.truth_column(l), l)
+                got = (
+                    AnfPoly.from_coefficient_column(moebius(h, l)),
+                    AnfPoly.from_coefficient_column(moebius(residual, l - 1)),
+                )
+                assert got == want, (l, f, g)
 
-    def test_gate_weighs_level_against_entry_lengths(self, monkeypatch):
-        tables = []
-        merge_tables = descriptor._merge_tables
+    def test_each_representation_has_one_merge(self, monkeypatch):
+        calls = []
+        for name in ("_merge_level", "_merge_clause_tables", "merge_poly"):
+            real = getattr(descriptor, name)
 
-        def spy(f_l, g_l, l):
-            tables.append(l)
-            return merge_tables(f_l, g_l, l)
+            def spy(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
 
-        monkeypatch.setattr(descriptor, "_merge_tables", spy)
-        rng = random.Random(72)
-        top = descriptor._TABLE_MERGE_MAX_LEVEL
-        short = random_poly(rng, 14, 1) + AnfPoly.var(14)
-        long = random_poly(rng, 14, 40) + AnfPoly.var(14)
-        merge_poly(short, short, 14)  # 2**14 > 512 * 2 * 2: sparse
-        assert tables == []
-        merge_poly(long, long, 14)  # 2**14 <= 512 * 40 * 40: table
-        assert tables == [14]
-        wide = random_poly(rng, top + 1, 300) + AnfPoly.var(top + 1)
-        merge_poly(wide, wide, top + 1)  # above the table width limit: sparse
-        assert tables == [14]
+            monkeypatch.setattr(descriptor, name, spy)
+        with monkeypatch.context() as m:
+            m.setattr(descriptor, "_on_tables", lambda n: False)
+            for sf in grid_formulas():
+                build(sf)
+        assert set(calls) == {"merge_poly"}
+        calls.clear()
+        n = descriptor._TABLE_MERGE_MAX_LEVEL + 1
+        assert build(sort_clauses(random_formula(n, 12, 1))).ok
+        assert set(calls) == {"merge_poly"}
 
 
 class TestMerge:
