@@ -3,9 +3,11 @@
 Subcommands: parse, build, enumerate, indicator, coeff, decide, profile,
 falsify.  DIMACS comes from a path or '-' (stdin); outputs are JSON, CSV or
 DIMACS-style 'v' lines and are byte-identical for identical inputs, flags
-and seeds.  Exit codes: 0 success, 1 soft failure (e.g. UNSAT build),
-2 falsifier findings, 10 SAT, 20 UNSAT-under-assumption, 30 resource cap,
-64 usage error, 74 I/O error.
+and seeds.  Exit codes: 0 success, 1 soft failure (UNSAT build, parse
+error, unsupported flag pair), 2 falsifier findings, 10 SAT,
+20 UNSAT-under-assumption, 30 resource cap, 64 usage error (also falsify
+parameters no instance can meet), 70 engine bug (InvariantViolation,
+Property2Violation), 74 I/O error.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .anf import bits_of_mask, mask_of_vars
+from .anf import AnfPoly, bits_of_mask, mask_of_vars
 from .cnf import Formula, parse_dimacs, formula_to_json, sort_clauses, to_dimacs
-from .coeffs import CoefficientQuery, decide_sat_bounded
-from .descriptor import DEFAULT_LEN_CAP, build, profile_csv
-from .errors import AnfSatError, ResourceCap
+from .coeffs import DEFAULT_FRONTIER_CAP, CoefficientQuery, decide_sat_bounded
+from .descriptor import DEFAULT_LEN_CAP, Descriptor, build, profile_csv
+from .errors import AnfSatError, GenerationError, ResourceCap
 from .falsify import CLAIM_IDS, falsify
 from .indicator import (
     DEFAULT_TERM_CAP,
@@ -28,7 +30,7 @@ from .indicator import (
     indicator_from_descriptor,
     indicator_from_factors,
 )
-from .solutions import list_solutions
+from .solutions import SolutionSet, list_solutions
 
 EXIT_OK = 0
 EXIT_SOFT_FAIL = 1
@@ -37,6 +39,7 @@ EXIT_SAT = 10
 EXIT_UNSAT_ASSUMED = 20
 EXIT_CAPPED = 30
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 EXIT_IO = 74
 
 
@@ -119,24 +122,33 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK if result.ok else EXIT_SOFT_FAIL
 
 
+def _descriptor_within_cap(f: Formula, cap: int) -> Optional[Descriptor]:
+    """The descriptor, or None when the build proves UNSAT; a cap raises."""
+    result = build(sort_clauses(f), cap=cap)
+    if result.capped:
+        raise ResourceCap("build hit the length cap")
+    return result.descriptor
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     f = _load_formula(args.input)
-    result = build(sort_clauses(f), cap=args.cap)
-    if result.capped:
-        sys.stderr.write("build hit the length cap\n")
-        return EXIT_CAPPED
-    if result.unsat:
+    h = _descriptor_within_cap(f, args.cap)
+    if h is None:
         _write_output(args.output, "s UNSATISFIABLE\n")
         return EXIT_OK
-    assert result.descriptor is not None
-    sols = list_solutions(
-        result.descriptor,
-        solution_cap=args.max_solutions,
-        node_cap=args.max_nodes,
+    points = list_solutions(
+        h, solution_cap=args.max_solutions, node_cap=args.max_nodes
     )
+    # The descriptor's fixed points may strictly contain the solutions (the
+    # monitored MERGE_SOUNDNESS claim), so each is checked against the CNF.
+    sols = SolutionSet.from_masks(
+        f.n, (m for m in points.masks() if f.eval_mask(m)), points.truncated
+    )
+    dropped = points.sigma - sols.sigma
     if args.emit == "json":
         payload = {
             "count": sols.sigma,
+            "dropped": dropped,
             "truncated": sols.truncated,
             "solutions": sols.to_json(),
         }
@@ -144,41 +156,31 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         text = sols.to_dimacs_v_lines()
         text += f"c {sols.sigma} solutions" + (" (truncated)\n" if sols.truncated else "\n")
+        if dropped:
+            text += f"c {dropped} fixed points dropped: not solutions\n"
         _write_output(args.output, text)
     return EXIT_OK
 
 
 def _cmd_indicator(args: argparse.Namespace) -> int:
+    if args.form == "descriptor" and args.mode != "gf2":
+        sys.stderr.write("descriptor form is GF(2) only\n")
+        return EXIT_SOFT_FAIL
     f = _load_formula(args.input)
-    try:
-        if args.form == "clauses":
-            poly = indicator_from_clauses(f, args.mode, cap=args.cap)
-        elif args.form == "descriptor":
-            result = build(sort_clauses(f), cap=args.cap)
-            if result.capped:
-                sys.stderr.write("build hit the length cap\n")
-                return EXIT_CAPPED
-            if result.unsat:
-                _write_output(args.output, "0\n")
-                return EXIT_OK
-            assert result.descriptor is not None
-            if args.mode != "gf2":
-                sys.stderr.write("descriptor form is GF(2) only\n")
-                return EXIT_SOFT_FAIL
-            poly = indicator_from_descriptor(result.descriptor, cap=args.cap)
-        else:
-            fs = factor_sequence(sort_clauses(f))
-            poly = indicator_from_factors(fs, args.mode, cap=args.cap)
-    except ResourceCap as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_CAPPED
+    if args.form == "clauses":
+        poly = indicator_from_clauses(f, args.mode, cap=args.cap)
+    elif args.form == "descriptor":
+        h = _descriptor_within_cap(f, args.cap)
+        poly = AnfPoly.zero() if h is None else indicator_from_descriptor(h, cap=args.cap)
+    else:
+        fs = factor_sequence(sort_clauses(f))
+        poly = indicator_from_factors(fs, args.mode, cap=args.cap)
     _write_output(args.output, poly.to_text("x") + "\n")
     return EXIT_OK
 
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
     f = _load_formula(args.input)
-    fs = factor_sequence(sort_clauses(f))
     if args.delta == "top":
         mask = ((1 << (f.n + 1)) - 1) & ~1
     else:
@@ -189,14 +191,11 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
             )
             return EXIT_USAGE
         mask = mask_of_vars(i for i, b in enumerate(bits, 1) if b == "1")
+    fs = factor_sequence(sort_clauses(f))
     query = CoefficientQuery.from_factor_sequence(
         fs, args.mode, frontier_cap=args.frontier_cap
     )
-    try:
-        value = query.coefficient(mask)
-    except ResourceCap as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_CAPPED
+    value = query.coefficient(mask)
     payload = {
         "delta": list(bits_of_mask(mask, f.n)),
         "coefficient": value,
@@ -212,32 +211,20 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     f = _load_formula(args.input)
-    try:
-        decision = decide_sat_bounded(
-            f, args.k, args.mode, frontier_cap=args.frontier_cap
-        )
-    except AnfSatError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_CAPPED
+    decision = decide_sat_bounded(
+        f, args.k, args.mode, frontier_cap=args.frontier_cap
+    )
     verdict = decision.verdict
     if verdict.capped:
-        _write_output(
-            args.output,
-            "s UNKNOWN (resource cap)\n"
-            + json.dumps(decision.to_json(), sort_keys=True)
-            + "\n",
-        )
-        return EXIT_CAPPED
-    headline = (
-        "s SATISFIABLE"
-        if verdict.satisfiable
-        else f"s UNSATISFIABLE (under #S<=2^{args.k} assumption)"
-    )
-    _write_output(
-        args.output,
-        headline + "\n" + json.dumps(decision.to_json(), sort_keys=True) + "\n",
-    )
-    return EXIT_SAT if verdict.satisfiable else EXIT_UNSAT_ASSUMED
+        headline, code = "s UNKNOWN (resource cap)", EXIT_CAPPED
+    elif verdict.satisfiable:
+        headline, code = "s SATISFIABLE", EXIT_SAT
+    else:
+        headline = f"s UNSATISFIABLE (under #S<=2^{args.k} assumption)"
+        code = EXIT_UNSAT_ASSUMED
+    report = json.dumps(decision.to_json(), sort_keys=True)
+    _write_output(args.output, f"{headline}\n{report}\n")
+    return code
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -266,7 +253,8 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
     payload = {
         "instances": stats.instances,
         "divergences": stats.divergences,
-        "skipped": stats.skipped_capped,
+        "skipped": sum(stats.skipped_by_cause.values()),
+        "skipped_by_cause": stats.skipped_by_cause,
         "per_claim": stats.per_claim,
         "reports": [r.to_json() for r in reports],
     }
@@ -298,7 +286,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="list solutions via the prefix tree")
     add_common(p)
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_LEN_CAP)
-    p.add_argument("--max-solutions", type=_positive_int, default=None)
+    p.add_argument("--max-solutions", type=_positive_int, default=None, help="cap on the fixed points visited; those that are not solutions are dropped and counted ('c' line, JSON key 'dropped')")
     p.add_argument("--max-nodes", type=_positive_int, default=None)
     p.add_argument("--emit", choices=("v", "json"), default="v")
     p.set_defaults(func=_cmd_enumerate)
@@ -306,7 +294,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("indicator", help="expand an indicator polynomial")
     add_common(p)
     p.add_argument("--mode", choices=("gf2", "int"), default="gf2")
-    p.add_argument("--form", choices=("clauses", "descriptor", "factors"), default="clauses")
+    p.add_argument("--form", choices=("clauses", "descriptor", "factors"), default="clauses", help="'descriptor' expands the indicator of the descriptor's fixed points, a superset of the solutions (GF(2) only)")
     p.add_argument(
         "--cap",
         type=_positive_int,
@@ -321,14 +309,14 @@ def _build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--delta", default="top", help="comma-separated 0/1 vector or 'top'")
     p.add_argument("--mode", choices=("gf2", "int"), default="gf2")
-    p.add_argument("--frontier-cap", type=_positive_int, default=1 << 22)
+    p.add_argument("--frontier-cap", type=_positive_int, default=DEFAULT_FRONTIER_CAP)
     p.set_defaults(func=_cmd_coeff)
 
     p = sub.add_parser("decide", help="bounded-solution satisfiability verdict")
     add_common(p)
     p.add_argument("--k", type=_nonnegative_int, required=True, help="assume #solutions <= 2^k")
     p.add_argument("--mode", choices=("gf2", "int"), default="gf2")
-    p.add_argument("--frontier-cap", type=_positive_int, default=1 << 22)
+    p.add_argument("--frontier-cap", type=_positive_int, default=DEFAULT_FRONTIER_CAP)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("profile", help="build and emit the merge profile CSV")
@@ -352,7 +340,17 @@ def _build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ResourceCap as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_CAPPED
+    except GenerationError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_USAGE
+    except AnfSatError as exc:
+        sys.stderr.write(f"engine bug: {type(exc).__name__}: {exc}\n")
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

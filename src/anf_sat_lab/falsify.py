@@ -6,7 +6,9 @@ build produces exactly the brute-force solution set, that the one-sided
 factor product equals the true indicator, and that the coefficient sweep
 decides satisfiability under its solution-count assumption.  A divergence is
 a finding, not a crash: it is minimized (clause removal only), re-verified
-for 1-minimality, and reported.
+for 1-minimality, and reported.  An instance that hits a size cap or the
+oracle's bound is skipped and counted by cause; any other engine error
+propagates.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .anf import all_ones_column, set_bits
 from .cnf import Clause3, Formula, sort_clauses, to_dimacs
 from .coeffs import decide_sat_bounded
 from .descriptor import build
-from .errors import AnfSatError
+from .errors import InvariantViolation, ResourceCap, TooLarge
 from .indicator import factor_sequence
 from .oracle import brute_column, brute_count, random_formula
 
@@ -70,12 +72,18 @@ class FalsificationReport:
         }
 
 
+# The documented reasons to skip a check; any other error is an engine bug.
+_SKIP_CAUSES = (ResourceCap, TooLarge)
+
+
 @dataclass
 class FalsifyStats:
     instances: int = 0
     divergences: int = 0
-    skipped_capped: int = 0
     per_claim: dict = field(default_factory=dict)
+    skipped_by_cause: dict = field(
+        default_factory=lambda: {cls.__name__: 0 for cls in _SKIP_CAUSES}
+    )
 
 
 def _check_merge_soundness(f: Formula) -> Optional[tuple[str, str]]:
@@ -83,7 +91,7 @@ def _check_merge_soundness(f: Formula) -> Optional[tuple[str, str]]:
     expected_col = brute_column(f)
     result = build(sort_clauses(f))
     if result.capped:
-        return None  # capped runs are skipped, not divergent
+        raise ResourceCap("build hit the length cap")
     if result.unsat:
         if expected_col == 0:
             return None
@@ -129,7 +137,7 @@ def _check_sweep_decides(f: Formula) -> Optional[tuple[str, str]]:
     k = _choose_k(count)
     decision = decide_sat_bounded(f, k)
     if decision.verdict.capped:
-        return None
+        raise ResourceCap("sweep hit the frontier cap")
     got_sat = decision.verdict.satisfiable
     expected_sat = count > 0
     if got_sat == expected_sat:
@@ -173,8 +181,8 @@ def minimize_formula(
     """Clause removal to a 1-minimal reproducer.
 
     Only clauses are removed; variables are re-compacted before each re-run.
-    A chunked reduction shrinks the instance quickly, then single removals
-    run to a fixed point, which makes the result 1-minimal by construction.
+    The chunk size halves down to one clause, and single-clause sweeps repeat
+    until one removes nothing, which makes the result 1-minimal.
     """
     cache: dict[tuple, bool] = {}
 
@@ -187,9 +195,8 @@ def minimize_formula(
         return hit
 
     clauses = list(f.clauses)
-    # Chunked pass: try dropping progressively smaller blocks.
     chunk = max(1, len(clauses) // 2)
-    while chunk >= 1 and len(clauses) > 1:
+    while len(clauses) > 1:
         start = 0
         removed_any = False
         while start < len(clauses):
@@ -201,17 +208,7 @@ def minimize_formula(
                 start += chunk
         if chunk == 1 and not removed_any:
             break
-        chunk = max(1, chunk // 2) if (chunk > 1 or removed_any) else 0
-    # Single-removal fixed point (1-minimality).
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(clauses)):
-            candidate = clauses[:idx] + clauses[idx + 1 :]
-            if candidate and still_diverges(candidate):
-                clauses = candidate
-                changed = True
-                break
+        chunk = max(1, chunk // 2)
     return compact_variables(Formula(n=f.n, clauses=tuple(clauses)))
 
 
@@ -256,8 +253,8 @@ def falsify(
             checker = _CHECKERS[claim_id]
             try:
                 divergence = checker(f)
-            except AnfSatError:
-                stats.skipped_capped += 1
+            except _SKIP_CAUSES as exc:
+                stats.skipped_by_cause[type(exc).__name__] += 1
                 continue
             if divergence is None:
                 continue
@@ -267,12 +264,12 @@ def falsify(
             def diverges(candidate: Formula, _c=checker) -> bool:
                 try:
                     return _c(candidate) is not None
-                except AnfSatError:
+                except _SKIP_CAUSES:
                     return False
 
             minimized = minimize_formula(f, diverges)
             if not verify_one_minimal(minimized, diverges):
-                raise AssertionError(
+                raise InvariantViolation(
                     f"minimized instance for {claim_id} is not 1-minimal"
                 )
             final = checker(minimized)

@@ -83,7 +83,8 @@ def factor_sequence(f: SortedFormula) -> FactorSequence:
 
     One-sided groups merge without any cascade; the closed forms
     h_plus(.., 1) = 1 and h_minus(.., 0) = 0 are asserted and any failure
-    raises Property2Violation, signalling an engine bug.
+    raises Property2Violation, signalling an engine bug.  A group build that
+    hits the length cap raises ResourceCap.
     """
     h_plus: list[AnfPoly] = []
     h_minus: list[AnfPoly] = []
@@ -112,6 +113,8 @@ def _one_sided_entry(group: SortedFormula, t: int, *, positive: bool) -> AnfPoly
     if group.m == 0:
         return AnfPoly.var(t)
     result = build(group)
+    if result.capped:
+        raise ResourceCap(f"one-sided group at t={t} hit the length cap")
     if not result.ok:
         raise Property2Violation(
             f"one-sided group at t={t} did not build cleanly: {result.status}"

@@ -291,7 +291,10 @@ class TestPinnedBytes:
 
     The digest was taken before the merge and conversion refactors that
     must leave CLI output unchanged; any change to a byte printed by these
-    runs changes it.
+    runs changes it.  It was re-pinned once since, when `enumerate` began
+    dropping fixed points that are not solutions (and reporting how many)
+    and `falsify` began reporting `skipped_by_cause`; with those two
+    reverted the previous digest, 5283aa88..., comes back.
     """
 
     # (name, n, m, seed): SAT, UNSAT-prone and sparse instances at n <= 11
@@ -306,7 +309,7 @@ class TestPinnedBytes:
         ("h", 11, 20, 8),
         ("i", 11, 47, 9),
     ]
-    DIGEST = "5283aa8836b43c9bea3f49956d1b8b9801ea2d80b4f5c2ab295c1cf80378e49d"
+    DIGEST = "b1b1b02e080a7e1bbfa5b6bc80b0a9b4602b24c29b3df88166b9d366e6491f3e"
 
     @staticmethod
     def _runs(n):
@@ -344,3 +347,211 @@ class TestPinnedBytes:
         code, out, _ = run_main(argv, capsys)
         digest.update(f"{argv} {code}\n{out}".encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+README_REPRODUCER = "p cnf 6 3\n-1 3 -5 0\n4 5 -6 0\n-1 -2 6 0\n"
+
+
+@pytest.fixture
+def wide_cnf(tmp_path):
+    from anf_sat_lab.cnf import to_dimacs
+    from anf_sat_lab.oracle import random_formula
+
+    p = tmp_path / "wide.cnf"
+    p.write_text(to_dimacs(random_formula(14, 8, 1)))
+    return str(p)
+
+
+def _raiser(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+
+    return raise_it
+
+
+class TestEngineBugExit:
+    """Every command maps an engine bug to exit 70 with one stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv, target, exc",
+        [
+            (["build"], "anf_sat_lab.cli.build", "InvariantViolation"),
+            (["enumerate"], "anf_sat_lab.cli.build", "InvariantViolation"),
+            (["profile"], "anf_sat_lab.cli.build", "InvariantViolation"),
+            (["indicator"], "anf_sat_lab.cli.indicator_from_clauses", "InvariantViolation"),
+            (["indicator", "--form", "descriptor"], "anf_sat_lab.cli.build", "InvariantViolation"),
+            (["indicator", "--form", "factors"], "anf_sat_lab.indicator._one_sided_entry", "Property2Violation"),
+            (["coeff"], "anf_sat_lab.indicator._one_sided_entry", "Property2Violation"),
+            (["decide", "--k", "1"], "anf_sat_lab.indicator._one_sided_entry", "Property2Violation"),
+        ],
+    )
+    def test_command_exits_70(self, argv, target, exc, two_cnf, monkeypatch, capsys):
+        from anf_sat_lab import errors
+
+        monkeypatch.setattr(target, _raiser(getattr(errors, exc)("planted")))
+        code, out, err = run_main([argv[0], two_cnf, *argv[1:]], capsys)
+        assert (code, out, err) == (70, "", f"engine bug: {exc}: planted\n")
+
+    def test_falsify_check_exits_70(self, monkeypatch, capsys):
+        import anf_sat_lab.falsify as fz
+        from anf_sat_lab.errors import InvariantViolation
+
+        monkeypatch.setitem(
+            fz._CHECKERS, "MERGE_SOUNDNESS", _raiser(InvariantViolation("planted"))
+        )
+        code, out, err = run_main(
+            ["falsify", "--claims", "MERGE_SOUNDNESS", "--count", "2", "--n", "6"], capsys
+        )
+        assert (code, out, err) == (70, "", "engine bug: InvariantViolation: planted\n")
+
+    def test_falsify_minimizer_exits_70(self, monkeypatch, capsys):
+        import anf_sat_lab.falsify as fz
+        from anf_sat_lab.errors import InvariantViolation
+
+        def checker(f):
+            if f.m < 26:  # the instance has 26 clauses, every candidate fewer
+                raise InvariantViolation("planted in a candidate")
+            return ("expected", "got")
+
+        monkeypatch.setitem(fz._CHECKERS, "MERGE_SOUNDNESS", checker)
+        code, out, err = run_main(
+            ["falsify", "--claims", "MERGE_SOUNDNESS", "--count", "1", "--n", "6"], capsys
+        )
+        assert (code, out) == (70, "")
+        assert err == "engine bug: InvariantViolation: planted in a candidate\n"
+
+
+class TestFailureExits:
+    @pytest.mark.parametrize("extra", [["--n", "2"], ["--n", "3", "--ratio", "10"]])
+    def test_impossible_generation_is_usage_error(self, extra, capsys):
+        code, out, err = run_main(["falsify", "--count", "1", *extra], capsys)
+        assert (code, out) == (64, "")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_cap_paths_keep_their_bytes(self, wide_cnf, tmp_path, capsys):
+        from anf_sat_lab.cnf import to_dimacs
+        from anf_sat_lab.oracle import random_formula
+
+        dense = tmp_path / "dense.cnf"
+        dense.write_text(to_dimacs(random_formula(8, 34, 5)))
+        cases = [
+            (["enumerate", wide_cnf, "--cap", "2"], "build hit the length cap\n"),
+            (
+                ["indicator", wide_cnf, "--form", "factors", "--cap", "10"],
+                "indicator expansion reached 14 terms (cap 10)\n",
+            ),
+            (
+                ["coeff", str(dense), "--frontier-cap", "1"],
+                "frontier at level 3 holds 2 masks (cap 1)\n",
+            ),
+        ]
+        for argv, err_bytes in cases:
+            assert run_main(argv, capsys) == (30, "", err_bytes)
+        code, out, err = run_main(
+            ["decide", str(dense), "--k", "2", "--frontier-cap", "1"], capsys
+        )
+        assert (code, err) == (30, "")
+        assert out.startswith("s UNKNOWN (resource cap)\n")
+
+    def test_capped_one_sided_build_is_a_cap(self, two_cnf, monkeypatch, capsys):
+        import anf_sat_lab.indicator as ind
+
+        real_build = ind.build
+        monkeypatch.setattr(ind, "build", lambda group: real_build(group, cap=1))
+        code, out, err = run_main(["coeff", two_cnf], capsys)
+        assert (code, out) == (30, "")
+        assert err == "one-sided group at t=3 hit the length cap\n"
+
+    def test_skipped_by_cause(self, monkeypatch, capsys):
+        import anf_sat_lab.falsify as fz
+        from anf_sat_lab.errors import ResourceCap
+
+        # MERGE_SOUNDNESS meets the oracle's bound at n=26 (TooLarge)
+        monkeypatch.setitem(fz._CHECKERS, "SWEEP_DECIDES", _raiser(ResourceCap("planted")))
+        code, out, _ = run_main(
+            ["falsify", "--claims", "MERGE_SOUNDNESS,SWEEP_DECIDES", "--count", "2", "--n", "26"],
+            capsys,
+        )
+        data = json.loads(out)
+        assert code == 0
+        assert data["skipped"] == 4
+        assert data["skipped_by_cause"] == {"ResourceCap": 2, "TooLarge": 2}
+
+
+class TestFlagsBeforeWork:
+    def test_descriptor_form_rejects_int_mode(self, wide_cnf, eight_cnf, monkeypatch, capsys):
+        from anf_sat_lab import cli
+
+        monkeypatch.setattr(cli, "build", _raiser(AssertionError("built")))
+        for argv in (
+            ["indicator", wide_cnf, "--form", "descriptor", "--mode", "int", "--cap", "2"],
+            ["indicator", eight_cnf, "--form", "descriptor", "--mode", "int"],
+        ):
+            assert run_main(argv, capsys) == (1, "", "descriptor form is GF(2) only\n")
+
+    def test_coeff_delta_checked_before_factors(self, two_cnf, monkeypatch, capsys):
+        from anf_sat_lab import cli
+
+        monkeypatch.setattr(cli, "factor_sequence", _raiser(AssertionError("factored")))
+        code, out, err = run_main(["coeff", two_cnf, "--delta", "1,1"], capsys)
+        assert (code, out) == (64, "")
+        assert err == "--delta needs 4 comma-separated 0/1 entries or 'top'\n"
+
+
+class TestEnumerateOnlySolutions:
+    def test_spurious_fixed_points_are_dropped(self, tmp_path, capsys):
+        from anf_sat_lab.cnf import parse_dimacs
+        from anf_sat_lab.oracle import brute_count
+
+        p = tmp_path / "repro.cnf"
+        p.write_text(README_REPRODUCER)
+        f = parse_dimacs(README_REPRODUCER)
+        assert brute_count(f) == 42
+        code, out, _ = run_main(["enumerate", str(p)], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-2:] == ["c 42 solutions", "c 2 fixed points dropped: not solutions"]
+        v_lines = [ln for ln in lines if ln.startswith("v ")]
+        assert len(v_lines) == 42
+        for ln in v_lines:
+            lits = [int(x) for x in ln.split()[1:-1]]
+            assert f.eval_mask(sum(1 << x for x in lits if x > 0))
+        code, out, _ = run_main(["enumerate", str(p), "--emit", "json"], capsys)
+        data = json.loads(out)
+        assert (data["count"], data["dropped"], data["truncated"]) == (42, 2, False)
+
+    def test_exact_image_prints_no_dropped_line(self, two_cnf, capsys):
+        code, out, _ = run_main(["enumerate", two_cnf], capsys)
+        assert (code, out.splitlines()[-1]) == (0, "c 12 solutions")
+        code, out, _ = run_main(["enumerate", two_cnf, "--emit", "json"], capsys)
+        assert json.loads(out)["dropped"] == 0
+
+
+class TestExitCodeDocs:
+    """The exit codes listed in --help and README are the EXIT_* constants."""
+
+    @staticmethod
+    def _constants():
+        from anf_sat_lab import cli
+
+        return {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+
+    def test_help_lists_every_code(self):
+        import re
+
+        from anf_sat_lab import cli
+
+        text = cli._build_parser().format_help()
+        listed = text[text.index("Exit codes:") : text.index("I/O error") + 3]
+        codes = {int(c) for c in re.findall(r"(?<!\w)(\d+)\s+[a-zA-Z]", listed)}
+        assert codes == self._constants()
+
+    def test_readme_lists_every_code(self):
+        import pathlib
+        import re
+
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        table = text[text.index("| exit code |") :].split("\n\n", 1)[0]
+        codes = {int(c) for c in re.findall(r"^\| `(\d+)` \|", table, re.M)}
+        assert codes == self._constants()

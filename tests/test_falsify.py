@@ -119,6 +119,15 @@ class TestFalsifyRun:
         cnfs = [p for p in os.listdir(tmp_path) if p.endswith(".cnf")]
         assert len(cnfs) == 1
 
+    def test_non_minimal_reproducer_is_an_engine_bug(self, monkeypatch):
+        import anf_sat_lab.falsify as fz
+        from anf_sat_lab.errors import InvariantViolation
+
+        monkeypatch.setitem(fz._CHECKERS, "MERGE_SOUNDNESS", lambda f: ("e", "g"))
+        monkeypatch.setattr(fz, "verify_one_minimal", lambda f, diverges: False)
+        with pytest.raises(InvariantViolation, match="not 1-minimal"):
+            falsify(["MERGE_SOUNDNESS"], count=1, n=5, ratio=1.0, seed=3)
+
     def test_seeded_instances_cover_counts(self):
         # generation uses seed + index; instances are distinct almost surely
         fs = [random_formula(8, 34, 100 + i) for i in range(5)]
