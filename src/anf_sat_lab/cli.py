@@ -57,6 +57,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -329,7 +336,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--claims", default="all", help="'all' or comma-separated claim ids")
     p.add_argument("--count", type=_positive_int, default=500)
     p.add_argument("--n", type=_positive_int, default=12)
-    p.add_argument("--ratio", type=float, default=4.26)
+    p.add_argument("--ratio", type=_positive_float, default=4.26, help="clauses per variable; each instance has max(1, round(ratio * n)) clauses")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report-dir", default=None)
     p.set_defaults(func=_cmd_falsify)

@@ -7,6 +7,12 @@ into the demanded mask.  Because each factor touches only a small window of
 variables, the set of masks ever demanded stays narrow on instances with
 local structure; a configurable frontier cap reports blow-ups.
 
+A product of monomials is the union of their masks, so this is a sparse,
+demand-driven iterated OR (covering) convolution (dense form: Bjorklund et
+al., "Fourier meets Moebius", STOC 2007).  The memo sets and their insertion
+order are output: they are the ``frontier_sizes`` counters and decide where
+the frontier cap fires, so each mask is computed in the same DFS order.
+
 The satisfiability sweep queries every mask with at most k zero positions
 (grade at least n - k).  Under the assumption that the instance has at most
 2**k solutions, a nonzero coefficient among these is equivalent to
@@ -66,12 +72,15 @@ class CoefficientQuery:
         self.mode = mode
         self.n = len(factors)
         self.frontier_cap = frontier_cap
-        self._coeff_maps: list[Dict[int, int]] = []
+        # _by_top[i][b]: (mask less bit i, coeff) of level-i monomials with bit i == b
+        self._by_top: list[tuple[list, list]] = [([], [])]
         for t, factor in enumerate(factors, start=1):
             cm = clause_coeffs(factor)
             if any(m >> (t + 1) for m in cm):
                 raise ValueError(f"factor {t} uses variables above {t}")
-            self._coeff_maps.append(cm)
+            self._by_top.append(([], []))
+            for m, c in cm.items():
+                self._by_top[t][(m >> t) & 1].append((m & ~(1 << t), c))
         self._memo: list[Dict[int, int]] = [dict() for _ in range(self.n + 1)]
         self.queries = 0
 
@@ -92,42 +101,44 @@ class CoefficientQuery:
     def coefficient(self, delta_mask: int) -> int:
         """Coefficient of the monomial with variable set ``delta_mask``."""
         self.queries += 1
-        return self._level_coeff(self.n, delta_mask)
-
-    def _level_coeff(self, i: int, delta: int) -> int:
-        if delta & 1:
+        if delta_mask & 1:
             raise ValueError("bit 0 of a mask is unused; variables start at 1")
-        # Variables above i can never be produced by factors 1..i.
-        if delta >> (i + 1):
+        # Variables above n can never be produced by factors 1..n.
+        if delta_mask >> (self.n + 1):
             return 0
-        if i == 0:
-            return 1 if delta == 0 else 0
-        memo = self._memo[i]
-        cached = memo.get(delta)
+        if self.n == 0:
+            return 1 if delta_mask == 0 else 0
+        cached = self._memo[self.n].get(delta_mask)
         if cached is not None:
             return cached
-        bit = 1 << i
-        want_top = delta & bit
-        d_low = delta & ~bit
+        return self._compute(self.n, delta_mask)
+
+    def _compute(self, i: int, delta: int) -> int:
+        """Level-i coefficient of a mask the memo lacks; recurses only on misses."""
+        d_low = delta & ~(1 << i)
         total = 0
-        for xi_mask, c in self._coeff_maps[i - 1].items():
-            if (xi_mask & bit) != want_top:
-                continue
-            if xi_mask & ~delta:
-                continue  # factor monomial sticks out of the demanded mask
-            xi_low = xi_mask & ~bit
-            required = d_low & ~xi_low  # prefix must supply what the factor lacks
-            free = d_low & xi_low  # overlap positions may come from either side
-            inner = 0
-            sub = free
-            while True:  # all submasks of 'free', including 0
-                inner += self._level_coeff(i - 1, required | sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & free
-            total += c * inner
+        if i == 1:  # level 0 is 1 on the empty mask only, so required must be 0
+            total = sum(c for xi_low, c in self._by_top[1][delta >> 1] if xi_low == d_low)
+        else:
+            get = self._memo[i - 1].get
+            for xi_low, c in self._by_top[i][delta >> i]:
+                if xi_low & ~d_low:
+                    continue  # factor monomial sticks out of the demanded mask
+                required = d_low & ~xi_low  # prefix must supply what the factor lacks
+                free = d_low & xi_low  # overlap positions may come from either side
+                inner = 0
+                sub = free
+                while True:  # all submasks of 'free', including 0
+                    m = required | sub
+                    v = get(m)
+                    inner += self._compute(i - 1, m) if v is None else v
+                    if sub == 0:
+                        break
+                    sub = (sub - 1) & free
+                total += c * inner
         if self.mode == "gf2":
             total &= 1
+        memo = self._memo[i]
         memo[delta] = total
         if len(memo) > self.frontier_cap:
             raise ResourceCap(

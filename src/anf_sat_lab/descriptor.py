@@ -209,6 +209,7 @@ class MergeTrace:
 
     def record(self, step: MergeStep) -> None:
         self.steps.append(step)
+        self.__dict__.pop("_w_stars", None)  # a new edge can widen any W*
         prev = step.t
         for j in step.chain:
             self.pred_edges.add((prev, j))
@@ -232,14 +233,18 @@ class MergeTrace:
             raise InvariantViolation("trace has no formula attached")
         return static_sets(self.formula)
 
+    @cached_property
+    def _w_stars(self) -> dict[int, frozenset[int]]:
+        # Edges only go down, so from level n down each W*(x_u) is final when reached.
+        acc = {t: set(self._sets.v_of(t)) for t in range(1, self.n + 1)}
+        for u in range(self.n, 0, -1):
+            for t in self._succ.get(u, ()):
+                acc[t] |= acc[u]
+        return {t: frozenset(w) for t, w in acc.items()}
+
     def w_star(self, t: int) -> frozenset[int]:
         """Union of V(x_u) over successors u of t (t in P(u)), plus V(x_t)."""
-        sets = self._sets
-        out = set(sets.v_of(t))
-        for u in range(t + 1, self.n + 1):
-            if t in self.predecessors(u):
-                out |= sets.v_of(u)
-        return frozenset(out)
+        return self._w_stars[t]
 
     def w(self, t: int) -> frozenset[int]:
         """W(x_t) = W*(x_t) without indices above t; W(x_n) = V(x_n)."""
@@ -439,7 +444,9 @@ def _descriptor(entries: list, n: int) -> Descriptor:
     """The descriptor of entries held as ``_merge_step`` holds them."""
     if _on_tables(n):
         entries = [
-            AnfPoly.from_coefficient_column(moebius(table, l))
+            AnfPoly.var(l)
+            if table == var_columns(l)[l]
+            else AnfPoly.from_coefficient_column(moebius(table, l))
             for l, table in enumerate(entries, start=1)
         ]
     return Descriptor(n=n, h=tuple(entries))

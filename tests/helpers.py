@@ -11,7 +11,9 @@ from itertools import product
 
 from anf_sat_lab.anf import AnfPoly
 from anf_sat_lab.cnf import Formula
+from anf_sat_lab.coeffs import clause_coeffs
 from anf_sat_lab.descriptor import Descriptor
+from anf_sat_lab.errors import ResourceCap
 from anf_sat_lab.smatrix import NEUTRAL, SMatrix
 
 
@@ -94,3 +96,69 @@ def random_poly(rng: random.Random, n: int, max_terms: int = 6) -> AnfPoly:
                 mask |= 1 << v
         masks.append(mask)
     return AnfPoly(masks)
+
+
+class ReferenceCoefficientQuery:
+    """The plain recursive coefficient recursion, one call frame per lookup.
+
+    ``_level_coeff`` is the engine's recursion as first written, kept
+    verbatim as an independent reference: the engine's
+    ``CoefficientQuery`` must reproduce its coefficients, its memo
+    dicts (insertion order included), ``queries`` and its frontier-cap
+    exception exactly.
+    """
+
+    def __init__(self, factors, mode: str = "gf2", *, frontier_cap: int):
+        self.mode = mode
+        self.n = len(factors)
+        self.frontier_cap = frontier_cap
+        self._coeff_maps = [clause_coeffs(factor) for factor in factors]
+        self._memo = [dict() for _ in range(self.n + 1)]
+        self.queries = 0
+
+    def coefficient(self, delta_mask: int) -> int:
+        self.queries += 1
+        return self._level_coeff(self.n, delta_mask)
+
+    def _level_coeff(self, i: int, delta: int) -> int:
+        if delta & 1:
+            raise ValueError("bit 0 of a mask is unused; variables start at 1")
+        # Variables above i can never be produced by factors 1..i.
+        if delta >> (i + 1):
+            return 0
+        if i == 0:
+            return 1 if delta == 0 else 0
+        memo = self._memo[i]
+        cached = memo.get(delta)
+        if cached is not None:
+            return cached
+        bit = 1 << i
+        want_top = delta & bit
+        d_low = delta & ~bit
+        total = 0
+        for xi_mask, c in self._coeff_maps[i - 1].items():
+            if (xi_mask & bit) != want_top:
+                continue
+            if xi_mask & ~delta:
+                continue  # factor monomial sticks out of the demanded mask
+            xi_low = xi_mask & ~bit
+            required = d_low & ~xi_low  # prefix must supply what the factor lacks
+            free = d_low & xi_low  # overlap positions may come from either side
+            inner = 0
+            sub = free
+            while True:  # all submasks of 'free', including 0
+                inner += self._level_coeff(i - 1, required | sub)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & free
+            total += c * inner
+        if self.mode == "gf2":
+            total &= 1
+        memo[delta] = total
+        if len(memo) > self.frontier_cap:
+            raise ResourceCap(
+                f"frontier at level {i} holds {len(memo)} masks (cap {self.frontier_cap})",
+                where=f"level {i}",
+                size=len(memo),
+            )
+        return total

@@ -428,6 +428,18 @@ class TestFailureExits:
         assert (code, out) == (64, "")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("ratio", ["-3", "0", "nan", "inf"])
+    def test_bad_ratio_usage_error(self, ratio, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["falsify", "--count", "1", "--n", "6", "--ratio", ratio])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (64, "")
+        # argparse's usage block, then one error line
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [
+            f"anf-sat-lab falsify: error: argument --ratio: must be a positive number, got {ratio}"
+        ]
+
     def test_cap_paths_keep_their_bytes(self, wide_cnf, tmp_path, capsys):
         from anf_sat_lab.cnf import to_dimacs
         from anf_sat_lab.oracle import random_formula

@@ -1,10 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from anf_sat_lab.anf import AnfPoly, IntPoly
-from anf_sat_lab.cnf import Formula, parse_dimacs, sort_clauses
+from anf_sat_lab.cnf import (
+    Formula,
+    parse_dimacs,
+    relabel_by_frequency,
+    sort_clauses,
+)
 from anf_sat_lab.coeffs import (
+    DEFAULT_FRONTIER_CAP,
     CoefficientQuery,
     clause_coeffs,
     coefficient,
@@ -21,7 +28,7 @@ from golden import (
     SIX_VAR_COMPUTED_TOP,
     SIX_VAR_REMOVED_CLAUSE,
 )
-from helpers import random_instance
+from helpers import ReferenceCoefficientQuery, random_instance
 
 
 def P(text):
@@ -131,6 +138,58 @@ class TestCoefficientRecursion:
         assert q.queries == 1
         assert q.max_frontier() >= 1
         assert len(q.frontier_sizes()) == 7
+
+
+class TestReferenceRecursion:
+    """The engine against the plain recursion in ``helpers``.
+
+    Memo dicts and their insertion order are part of the output (they are
+    the ``frontier_sizes`` work counters and decide where a frontier cap
+    fires), so the two must agree exactly, not only on coefficients.
+    """
+
+    @staticmethod
+    def outcomes(q, n):
+        """Each query's coefficient or cap exception, every mask with <= 2 zeros."""
+        full = full_mask(n)
+        out = []
+        for zeros in range(3):
+            for positions in combinations(range(1, n + 1), zeros):
+                mask = full & ~sum(1 << v for v in positions)
+                try:
+                    out.append(q.coefficient(mask))
+                except ResourceCap as exc:
+                    out.append((str(exc), exc.where, exc.size))
+        return out
+
+    def test_memo_order_counters_and_caps_match_reference(self):
+        caps_seen = 0
+        for n in range(4, 13):
+            for ratio in (2.5, 4.26):
+                for seed in (1, 2, 3):
+                    f = random_formula(n, round(ratio * n), seed)
+                    fs = factor_sequence(sort_clauses(relabel_by_frequency(f)[0]))
+                    for mode in ("gf2", "int"):
+                        factors = (
+                            fs.g_list()
+                            if mode == "gf2"
+                            else [fs.g_int(t) for t in range(1, n + 1)]
+                        )
+                        for cap in (3, 40, DEFAULT_FRONTIER_CAP):
+                            where = (n, ratio, seed, mode, cap)
+                            q = CoefficientQuery(factors, mode, frontier_cap=cap)
+                            ref = ReferenceCoefficientQuery(
+                                factors, mode, frontier_cap=cap
+                            )
+                            got = self.outcomes(q, n)
+                            assert got == self.outcomes(ref, n), where
+                            assert q.queries == ref.queries, where
+                            for level in range(n + 1):
+                                assert list(q._memo[level].items()) == list(
+                                    ref._memo[level].items()
+                                ), (where, level)
+                            caps_seen += any(isinstance(o, tuple) for o in got)
+        assert caps_seen > 0
 
 
 class TestSweep:
