@@ -148,8 +148,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     )
     # The descriptor's fixed points may strictly contain the solutions (the
     # monitored MERGE_SOUNDNESS claim), so each is checked against the CNF.
-    sols = SolutionSet.from_masks(
-        f.n, (m for m in points.masks() if f.eval_mask(m)), points.truncated
+    sols = SolutionSet(
+        f.n,
+        tuple(
+            sol
+            for sol in points.solutions
+            if f.eval_mask(mask_of_vars(i for i, b in enumerate(sol, 1) if b))
+        ),
+        points.truncated,
     )
     dropped = points.sigma - sols.sigma
     if args.emit == "json":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import HeaderMismatch, MalformedClause, VarOutOfRange
@@ -132,8 +133,22 @@ class Formula:
             return Fraction(0)
         return Fraction(self.m, self.n)
 
+    @cached_property
+    def _forbidden_cubes(self) -> tuple[tuple[int, int], ...]:
+        # Clause k is false exactly where assignment & vars == values.
+        return tuple(
+            (
+                sum(1 << l.var for l in cl.lits),
+                sum(1 << l.var for l in cl.lits if l.negated),
+            )
+            for cl in self.clauses
+        )
+
     def eval_mask(self, assignment: int) -> bool:
-        return all(cl.satisfied_by_mask(assignment) for cl in self.clauses)
+        for variables, values in self._forbidden_cubes:
+            if assignment & variables == values:
+                return False
+        return True
 
 
 @dataclass(frozen=True)

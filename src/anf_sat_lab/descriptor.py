@@ -10,16 +10,17 @@ means the conjunction has no solution.
 
 Up to ``_TABLE_MERGE_MAX_LEVEL`` variables the sweep holds each entry h_i as
 its 2**i-bit truth table over a_1..a_i (bit ``a`` is the value at the
-assignment ``a << 1``, as in ``AnfPoly.truth_column``) and converts to
-polynomials once, for the result.  Above it a table would need 2**n bits,
-so the sweep runs on sparse monomial sets through ``merge_poly``.
+assignment ``a << 1``, as in ``AnfPoly.truth_column``), and the resulting
+descriptor keeps those tables, converting an entry to a polynomial only when
+it is asked for.  Above it a table would need 2**n bits, so the sweep runs
+on sparse monomial sets through ``merge_poly``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 from .anf import AnfPoly, all_ones_column, moebius, set_bits, var_columns, widen
@@ -56,32 +57,96 @@ PROFILE_HEADER = "# anf-sat-lab profile v1"
 _TABLE_MERGE_MAX_LEVEL = 20
 
 
-@dataclass(frozen=True)
 class Descriptor:
-    """Triangular vector of polynomials; entry i may use variables 1..i."""
+    """Triangular vector of polynomials; entry i may use variables 1..i.
 
-    n: int
-    h: tuple[AnfPoly, ...]
+    A descriptor built on tables (``from_tables``) holds entry i as its
+    2**i-bit truth table over a_1..a_i and creates each ``AnfPoly`` entry on
+    first use of ``h``, ``entry`` or ``to_json``.  Equality, hash and repr
+    are those of the polynomials, whichever representation is held.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.h) != self.n:
-            raise InvariantViolation(f"expected {self.n} entries, got {len(self.h)}")
-        for i, poly in enumerate(self.h, start=1):
+    __slots__ = ("n", "_polys", "_tables")
+
+    def __init__(self, n: int, h: Sequence[AnfPoly]):
+        if len(h) != n:
+            raise InvariantViolation(f"expected {n} entries, got {len(h)}")
+        for i, poly in enumerate(h, start=1):
             if poly.max_var() > i:
                 raise InvariantViolation(
                     f"h_{i} uses variable {poly.max_var()} > {i} (not triangular)"
                 )
+        _init(self, n, list(h), None)
+
+    @classmethod
+    def from_tables(cls, n: int, tables: Sequence[int]) -> "Descriptor":
+        """Descriptor whose entry i is the 2**i-bit truth table ``tables[i - 1]``."""
+        if len(tables) != n:
+            raise InvariantViolation(f"expected {n} entries, got {len(tables)}")
+        for i, table in enumerate(tables, start=1):
+            if table < 0 or table >> (1 << i):
+                raise InvariantViolation(f"table of h_{i} does not fit in 2**{i} bits")
+        d = object.__new__(cls)
+        _init(d, n, [None] * n, tuple(tables))
+        return d
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen Descriptor")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen Descriptor")
+
+    @property
+    def h(self) -> tuple[AnfPoly, ...]:
+        """All entries as polynomials, h[i - 1] = h_i."""
+        return tuple(self.entry(i) for i in range(1, self.n + 1))
 
     def entry(self, i: int) -> AnfPoly:
         """1-based access: entry(i) is h_i."""
-        return self.h[i - 1]
+        poly = self._polys[i - 1]
+        if poly is None:
+            table = self._tables[i - 1]
+            if table == var_columns(i)[i]:
+                poly = AnfPoly.var(i)
+            else:
+                poly = AnfPoly.from_coefficient_column(moebius(table, i))
+            self._polys[i - 1] = poly
+        return poly
+
+    @property
+    def tables(self) -> tuple[int, ...]:
+        """Entry i as its 2**i-bit truth table over a_1..a_i.
+
+        Bit ``a`` of a table is the value at the assignment ``a << 1``.  A
+        descriptor built from polynomials computes them once, 2**(n+1) bits
+        in all.
+        """
+        if self._tables is None:
+            tables = tuple(p.truth_column(i) for i, p in enumerate(self.h, start=1))
+            object.__setattr__(self, "_tables", tables)
+        return self._tables
+
+    @property
+    def on_tables(self) -> bool:
+        """Whether reads use the tables: up to the size where builds use them."""
+        return _on_tables(self.n)
+
+    def is_var(self, i: int) -> bool:
+        """Whether h_i is the identity a_i."""
+        if self.on_tables:
+            return self.tables[i - 1] == var_columns(i)[i]
+        return self.entry(i) == AnfPoly.var(i)
 
     def is_identity(self) -> bool:
-        return all(p == AnfPoly.var(i) for i, p in enumerate(self.h, start=1))
+        return all(self.is_var(i) for i in range(1, self.n + 1))
 
     def apply_mask(self, alpha: int) -> int:
         """Image of an assignment bitmask under the descriptor."""
         out = 0
+        if self.on_tables:
+            for i, table in enumerate(self.tables, start=1):
+                out |= (table >> ((alpha >> 1) & ((1 << i) - 1)) & 1) << i
+            return out
         for i, poly in enumerate(self.h, start=1):
             if poly.eval_mask(alpha):
                 out |= 1 << i
@@ -89,9 +154,11 @@ class Descriptor:
 
     def image_indices(self) -> set[int]:
         """Image {H(alpha)} as assignment indices (variable i is bit i - 1)."""
-        images = [0] * (1 << self.n)
-        for i, poly in enumerate(self.h):
-            for alpha in set_bits(poly.truth_column(self.n)):
+        # images[alpha] over a_1..a_i: the list over a_1..a_{i-1}, twice over.
+        images = [0]
+        for i, table in enumerate(self.tables):
+            images += images
+            for alpha in set_bits(table):
                 images[alpha] |= 1 << i
         return set(images)
 
@@ -104,6 +171,30 @@ class Descriptor:
     @classmethod
     def from_json(cls, texts: Sequence[str]) -> "Descriptor":
         return cls(n=len(texts), h=tuple(AnfPoly.parse(t) for t in texts))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._tables is not None and other._tables is not None:
+            return self._tables == other._tables
+        return self.h == other.h
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.h))
+
+    def __repr__(self) -> str:
+        return f"Descriptor(n={self.n!r}, h={self.h!r})"
+
+    def __reduce__(self):
+        if self._tables is not None:
+            return Descriptor.from_tables, (self.n, self._tables)
+        return Descriptor, (self.n, self.h)
+
+
+def _init(d: Descriptor, n: int, polys: list, tables: Optional[tuple[int, ...]]) -> None:
+    object.__setattr__(d, "n", n)
+    object.__setattr__(d, "_polys", polys)
+    object.__setattr__(d, "_tables", tables)
 
 
 def identity_descriptor(n: int) -> Descriptor:
@@ -366,6 +457,12 @@ def _check_table_cap(table: int, l: int, cap: int) -> None:
             raise _over_cap(l, size, cap)
 
 
+@cache
+def _columns_up_to(n: int) -> tuple[tuple[int, ...], ...]:
+    """``var_columns(l)`` for l = 0..n: entry [l][i] is a_i over a_1..a_l."""
+    return tuple(var_columns(l) for l in range(n + 1))
+
+
 def _merge_clause_tables(
     f: list[int],
     clause: Clause3,
@@ -378,11 +475,13 @@ def _merge_clause_tables(
     whole tables; only the cap check converts, and only where 2**l > cap.
     """
     t = clause.t
+    columns = _columns_up_to(n)
+    capped = cap < 1 << n  # len(h_l) <= 2**l, so below this no level can exceed it
     h = [0] * n
     chain: list[int] = []
     for l in range(n, 0, -1):
         fl = f[l - 1]
-        gl = var_columns(l)[l]
+        gl = columns[l][l]
         if l == t:
             # a_t + the forbidden cube with a_v <- f_v below t
             ones = all_ones_column(t)
@@ -395,7 +494,8 @@ def _merge_clause_tables(
             h[l - 1] = fl
             continue
         h_l, residual = _merge_level(fl, gl, l)
-        _check_table_cap(h_l, l, cap)
+        if capped:
+            _check_table_cap(h_l, l, cap)
         h[l - 1] = h_l
         width = l - 1  # the residual is a table over a_1..a_width
         while residual:
@@ -410,25 +510,32 @@ def _merge_clause_tables(
             j = width
             _check_chain(chain, j)
             chain.append(j)
-            new_fj, residual = _merge_level(f[j - 1], residual ^ var_columns(j)[j], j)
-            _check_table_cap(new_fj, j, cap)
+            new_fj, residual = _merge_level(f[j - 1], residual ^ columns[j][j], j)
+            if capped:
+                _check_table_cap(new_fj, j, cap)
             f[j - 1] = new_fj
             width = j - 1
     # Final substitution pass: a_i -> h_i is a mux between the cofactors.
     for i in range(1, n + 1):
         hi = h[i - 1]
-        if hi == var_columns(i)[i]:
+        if hi == columns[i][i]:
             continue
         shift = 1 << (i - 1)
+        width = i  # hi is a table over a_1..a_width
         for j in range(i + 1, n + 1):
-            hi |= hi << (1 << (j - 1))  # h_i over a_1..a_j
             hj = h[j - 1]
-            at_one = hj & var_columns(j)[i]
+            at_one = hj & columns[j][i]
             r0 = hj ^ at_one
+            if at_one == r0 << shift:  # h_j does not depend on a_i: the mux is a no-op
+                continue
+            while width < j:  # h_i over a_1..a_j
+                hi |= hi << (1 << width)
+                width += 1
             r0 |= r0 << shift
             r1 = at_one | at_one >> shift
             h[j - 1] = hj = r0 ^ (r0 ^ r1) & hi
-            _check_table_cap(hj, j, cap)
+            if capped:
+                _check_table_cap(hj, j, cap)
     return h, tuple(chain)
 
 
@@ -443,12 +550,7 @@ def _entry_len(entry: AnfPoly | int, l: int) -> int:
 def _descriptor(entries: list, n: int) -> Descriptor:
     """The descriptor of entries held as ``_merge_step`` holds them."""
     if _on_tables(n):
-        entries = [
-            AnfPoly.var(l)
-            if table == var_columns(l)[l]
-            else AnfPoly.from_coefficient_column(moebius(table, l))
-            for l, table in enumerate(entries, start=1)
-        ]
+        return Descriptor.from_tables(n, entries)
     return Descriptor(n=n, h=tuple(entries))
 
 
@@ -520,12 +622,9 @@ def merge(
     clause_index: int = 1,
 ) -> Optional[Descriptor]:
     """Merge one clause into a descriptor; None signals an unsatisfiable result."""
-    entries: list = list(f.h)
-    if _on_tables(f.n):
-        entries = [p.truth_column(l) for l, p in enumerate(f.h, start=1)]
-    merged = _merge_step(
-        entries, [len(p) for p in f.h], clause, f.n, cap, trace, step, clause_index
-    )
+    entries: list = list(f.tables if _on_tables(f.n) else f.h)
+    lens = [_entry_len(entry, l) for l, entry in enumerate(entries, start=1)]
+    merged = _merge_step(entries, lens, clause, f.n, cap, trace, step, clause_index)
     return None if merged is None else _descriptor(merged[0], f.n)
 
 

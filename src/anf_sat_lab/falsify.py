@@ -237,11 +237,17 @@ def falsify(
     seed: int,
     report_dir: Optional[str] = None,
 ) -> tuple[list[FalsificationReport], FalsifyStats]:
-    """Run each claim over seeded random instances; minimize any divergence."""
+    """Run each claim over seeded random instances; minimize any divergence.
+
+    Raises ValueError for an unknown claim id, or for a ratio that is not a
+    positive finite number.
+    """
     claim_list = list(claims)
     for c in claim_list:
         if c not in _CHECKERS:
             raise ValueError(f"unknown claim id {c!r}")
+    if not 0 < ratio < math.inf:  # also rejects nan
+        raise ValueError(f"ratio must be a positive finite number, got {ratio}")
     m = max(1, round(ratio * n))
     stats = FalsifyStats(per_claim={c: 0 for c in claim_list})
     reports: list[FalsificationReport] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .anf import bits_of_mask, mask_of_vars
+from .anf import AnfPoly, bits_of_mask, mask_of_vars
 from .descriptor import Descriptor
 from .errors import InvariantViolation
 
@@ -104,6 +104,18 @@ def intersect_images(
     found: list[tuple[int, ...]] = []
     truncated = False
 
+    # h_t at a candidate mask is bit candidate >> 1 of its 2**t-bit table;
+    # descriptors too large for tables evaluate the polynomial instead.
+    if descriptors[0].on_tables:
+        levels = list(zip(*(d.tables for d in descriptors)))
+
+        def value(table: int, candidate: int) -> int:
+            return table >> (candidate >> 1) & 1
+
+    else:
+        levels = list(zip(*(d.h for d in descriptors)))
+        value = AnfPoly.eval_mask
+
     # Iterative DFS; each stack item is (depth t, prefix mask of x_1..x_{t-1}).
     # Depth n+1 items are completed assignments.
     stack: list[tuple[int, int]] = [(1, 0)]
@@ -123,8 +135,12 @@ def intersect_images(
             truncated = True
             break
         # Push b=1 below b=0 so the 0-branch is explored first: ascending order.
+        level = levels[t - 1]
         for b in (1, 0):
             candidate = prefix | (b << t)
-            if all(d.entry(t).eval_mask(candidate) == b for d in descriptors):
+            for entry in level:
+                if value(entry, candidate) != b:
+                    break
+            else:
                 stack.append((t + 1, candidate))
     return SolutionSet(n=n, solutions=tuple(found), truncated=truncated)

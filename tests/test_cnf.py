@@ -80,6 +80,15 @@ class TestParse:
         assert cl.forbidden_triple() == (0, 0, 1)
         assert Clause3.from_signed((-1, -2, -3)).forbidden_triple() == (1, 1, 1)
 
+    def test_eval_mask_matches_clause_by_clause(self):
+        # Formula.eval_mask reads precomputed forbidden cubes
+        for n, m, seed in ((3, 1, 1), (5, 12, 2), (7, 30, 3), (8, 40, 4)):
+            f = random_formula(n, m, seed)
+            for a in range(1 << n):
+                mask = a << 1
+                want = all(cl.satisfied_by_mask(mask) for cl in f.clauses)
+                assert f.eval_mask(mask) == want
+
 
 class TestRoundTrips:
     def test_dimacs_roundtrip(self):

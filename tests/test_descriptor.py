@@ -1,5 +1,10 @@
+import copy
+import pickle
 import random
+from contextlib import contextmanager
+from functools import cache
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 
@@ -19,6 +24,7 @@ from anf_sat_lab.descriptor import (
 )
 from anf_sat_lab.errors import InvariantViolation
 from anf_sat_lab.oracle import random_formula
+from anf_sat_lab.solutions import SearchStats, intersect_images, list_solutions
 
 from golden import EIGHT_CLAUSE, EIGHT_CLAUSE_TABLE, TWO_CLAUSE
 from helpers import descriptor_image_masks, solution_masks
@@ -421,6 +427,123 @@ class TestTableFold:
                     assert result.capped_at == (int(got[0]), got[1])
                     assert got[1] > cap
         assert hits > 12
+
+
+@contextmanager
+def on_polynomials(monkeypatch):
+    """A context in which builds, merges and descriptor reads use polynomials only."""
+    with monkeypatch.context() as m:
+        m.setattr(descriptor, "_on_tables", lambda n: False)
+        yield
+
+
+@cache
+def twin_pairs() -> tuple[tuple[Descriptor, Descriptor], ...]:
+    """(table-backed, polynomial twin) descriptors over the grid and caps.
+
+    The twin comes from the sparse fold, so it shares no table code.
+    """
+    pairs = []
+    for sf in grid_formulas():
+        for cap in (4, 16, descriptor.DEFAULT_LEN_CAP):
+            h = build(sf, cap=cap).descriptor
+            if h is not None:
+                with mock.patch.object(descriptor, "_on_tables", lambda n: False):
+                    pairs.append((h, build(sf, cap=cap).descriptor))
+    return tuple(pairs)
+
+
+class TestTableBackedDescriptor:
+    """A descriptor built on tables behaves exactly as its polynomial twin."""
+
+    def test_reads_match_polynomial_twin(self, monkeypatch):
+        def reads(h):
+            return (
+                hash(h),
+                repr(h),
+                h.to_json(),
+                h.image_indices(),
+                # every alpha; n = 12, 13 alone would take longer than the rest
+                [h.apply_mask(a << 1) for a in range(1 << h.n)] if h.n <= 11 else None,
+                h.is_identity(),
+            )
+
+        pairs = 0
+        for h, twin in twin_pairs():
+            assert h._tables is not None
+            with on_polynomials(monkeypatch):
+                want = reads(twin)
+            if want[4] is not None:
+                assert want[3] == {m >> 1 for m in want[4]}  # image read pointwise
+            assert h == twin and twin == h
+            assert reads(h) == want
+            pairs += 1
+        assert pairs > 150
+
+    def test_search_matches_polynomial_twin(self, monkeypatch):
+        def search(hs, **caps):
+            stats = SearchStats()
+            if len(hs) == 1:
+                return list_solutions(hs[0], stats=stats, **caps), stats
+            return intersect_images(hs, stats=stats, **caps), stats
+
+        previous = {}
+        for h, twin in twin_pairs():
+            solutions = list_solutions(h).solutions
+            assert list(solutions) == sorted(solutions)  # ascending, x_1 most significant
+            other, other_twin = previous.get(h.n, (h, twin))
+            for hs, twins in (([h], [twin]), ([h, other], [twin, other_twin])):
+                for caps in (
+                    {},
+                    {"solution_cap": 1},
+                    {"solution_cap": 3},
+                    {"node_cap": 1},
+                    {"node_cap": 3},
+                    {"solution_cap": 3, "node_cap": 3},
+                ):
+                    with on_polynomials(monkeypatch):
+                        want = search(twins, **caps)
+                    assert search(hs, **caps) == want
+            previous[h.n] = (h, twin)
+
+    def test_entries_convert_on_first_use(self, monkeypatch):
+        conversions = []
+        real = AnfPoly.from_coefficient_column
+
+        def counting(column):
+            conversions.append(column)
+            return real(column)
+
+        monkeypatch.setattr(AnfPoly, "from_coefficient_column", counting)
+        sf = sort_clauses(random_formula(10, 43, 3))
+        h = build(sf).descriptor
+        list_solutions(h)
+        h.image_indices()
+        h.is_identity()
+        assert conversions == []
+        top = h.entry(10)
+        assert len(conversions) == 1 and h.entry(10) is top
+        assert h.to_json() == [p.to_text("a") for p in h.h]
+        assert len(conversions) == sum(not h.is_var(i) for i in range(1, 11))
+
+    def test_from_tables_validation(self):
+        with pytest.raises(InvariantViolation):
+            Descriptor.from_tables(2, (0b10,))
+        with pytest.raises(InvariantViolation):
+            Descriptor.from_tables(2, (0b10, 0b10000))  # 5 bits for a 4-bit table
+        with pytest.raises(InvariantViolation):
+            Descriptor.from_tables(1, (-1,))
+        h = Descriptor.from_tables(2, (0b10, 0b1100))
+        assert h == identity_descriptor(2) and h.is_identity()
+
+    def test_frozen_copyable_picklable(self):
+        h = build(sort_clauses(random_formula(6, 20, 1))).descriptor
+        with pytest.raises(AttributeError):
+            h.n = 3
+        for poly_backed in (False, True):
+            d = Descriptor(h.n, h.h) if poly_backed else h
+            for other in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+                assert other == d and other.tables == d.tables
 
 
 class TestTraceLookups:

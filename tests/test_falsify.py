@@ -25,6 +25,11 @@ class TestRegistry:
         with pytest.raises(ValueError):
             falsify(["NO_SUCH_CLAIM"], count=1, n=5, ratio=2.0, seed=0)
 
+    @pytest.mark.parametrize("ratio", [0, -3, 0.0, float("nan"), float("inf"), -float("inf")])
+    def test_ratio_must_be_positive_and_finite(self, ratio):
+        with pytest.raises(ValueError, match="ratio must be a positive finite number"):
+            falsify(["SWEEP_DECIDES"], count=1, n=6, ratio=ratio, seed=0)
+
 
 class TestCheckers:
     def test_merge_soundness_on_goldens(self):

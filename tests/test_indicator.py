@@ -2,10 +2,17 @@ import random
 
 import pytest
 
+from anf_sat_lab import descriptor, indicator
 from anf_sat_lab.anf import AnfPoly
-from anf_sat_lab.cnf import Formula, parse_dimacs, sort_clauses
-from anf_sat_lab.descriptor import build, identity_descriptor
-from anf_sat_lab.errors import ResourceCap
+from anf_sat_lab.cnf import Clause3, Formula, SortedFormula, parse_dimacs, sort_clauses
+from anf_sat_lab.descriptor import (
+    BuildResult,
+    Descriptor,
+    MergeTrace,
+    build,
+    identity_descriptor,
+)
+from anf_sat_lab.errors import Property2Violation, ResourceCap
 from anf_sat_lab.indicator import (
     clause_forbidden_monomial,
     factor_sequence,
@@ -219,3 +226,58 @@ class TestIndicatorFromFactors:
             f = random_instance(rng, n, 3 * n)
             fs = factor_sequence(sort_clauses(f))
             assert indicator_from_factors(fs, "int").reduce_mod2() == indicator_from_factors(fs, "gf2")
+
+
+class TestOneSidedChecks:
+    """The group checks read the tables and raise as the polynomial checks do."""
+
+    @pytest.mark.parametrize("on_tables", [True, False])
+    @pytest.mark.parametrize(
+        "entries, positive, message",
+        [
+            # a disturbed entry is reported before a failed collapse
+            (("a1", "a1", "a3 + a1", "a4"), True, "one-sided group at t=3 disturbed entry 2"),
+            (("a1", "a2", "a3", "a1*a4"), False, "one-sided group at t=3 disturbed entry 4"),
+            (("a1", "a2", "a3 + a1", "a4"), True, "h_plus at t=3 does not collapse to 1 at x_t=1"),
+            (("a1", "a2", "a3 + a1", "a4"), False, "h_minus at t=3 does not collapse to 0 at x_t=0"),
+            (("a1", "a2", "a3 + a1*a3", "a4"), True, "h_plus at t=3 does not collapse to 1 at x_t=1"),
+            (("a1", "a2", "a3 + a1*a3", "a4"), False, None),
+            (("a1", "a2", "1 + a1 + a1*a3", "a4"), True, None),
+            (("1", "a2", "a3", "a4"), True, "one-sided group at t=3 disturbed entry 1"),
+        ],
+    )
+    def test_messages(self, monkeypatch, on_tables, entries, positive, message):
+        polys = [P(e) for e in entries]
+        if on_tables:
+            h = Descriptor.from_tables(4, [p.truth_column(i) for i, p in enumerate(polys, 1)])
+        else:
+            monkeypatch.setattr(descriptor, "_on_tables", lambda n: False)
+            h = Descriptor(4, polys)
+        result = BuildResult(status="ok", descriptor=h, trace=MergeTrace(n=4))
+        monkeypatch.setattr(indicator, "build", lambda group: result)
+        group = SortedFormula(n=4, clauses=(Clause3.from_signed((1, 2, 3)),))
+        if message is None:
+            assert indicator._one_sided_entry(group, 3, positive=positive) == polys[2]
+        else:
+            with pytest.raises(Property2Violation) as exc:
+                indicator._one_sided_entry(group, 3, positive=positive)
+            assert str(exc.value) == message
+
+    def test_group_build_converts_only_h_t(self, monkeypatch):
+        calls = []
+        real = Descriptor.entry
+
+        def recording(self, i):
+            calls.append(i)
+            return real(self, i)
+
+        monkeypatch.setattr(Descriptor, "entry", recording)
+        fs = factor_sequence(sort_clauses(random_formula(10, 43, 1)))
+        groups = [
+            t
+            for t in range(1, fs.n + 1)
+            for clauses in (fs.plus_clauses[t - 1], fs.minus_clauses[t - 1])
+            if clauses
+        ]
+        assert len(groups) > fs.n
+        assert calls == groups
