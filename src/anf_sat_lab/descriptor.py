@@ -57,6 +57,7 @@ PROFILE_HEADER = "# anf-sat-lab profile v1"
 _TABLE_MERGE_MAX_LEVEL = 20
 
 
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Descriptor:
     """Triangular vector of polynomials; entry i may use variables 1..i.
 
@@ -66,7 +67,9 @@ class Descriptor:
     are those of the polynomials, whichever representation is held.
     """
 
-    __slots__ = ("n", "_polys", "_tables")
+    n: int
+    _polys: list  # h_i at [i - 1]; None until converted from its table
+    _tables: Optional[tuple[int, ...]]
 
     def __init__(self, n: int, h: Sequence[AnfPoly]):
         if len(h) != n:
@@ -76,7 +79,7 @@ class Descriptor:
                 raise InvariantViolation(
                     f"h_{i} uses variable {poly.max_var()} > {i} (not triangular)"
                 )
-        _init(self, n, list(h), None)
+        vars(self).update(n=n, _polys=list(h), _tables=None)
 
     @classmethod
     def from_tables(cls, n: int, tables: Sequence[int]) -> "Descriptor":
@@ -87,14 +90,8 @@ class Descriptor:
             if table < 0 or table >> (1 << i):
                 raise InvariantViolation(f"table of h_{i} does not fit in 2**{i} bits")
         d = object.__new__(cls)
-        _init(d, n, [None] * n, tuple(tables))
+        vars(d).update(n=n, _polys=[None] * n, _tables=tuple(tables))
         return d
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen Descriptor")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a frozen Descriptor")
 
     @property
     def h(self) -> tuple[AnfPoly, ...]:
@@ -143,10 +140,6 @@ class Descriptor:
     def apply_mask(self, alpha: int) -> int:
         """Image of an assignment bitmask under the descriptor."""
         out = 0
-        if self.on_tables:
-            for i, table in enumerate(self.tables, start=1):
-                out |= (table >> ((alpha >> 1) & ((1 << i) - 1)) & 1) << i
-            return out
         for i, poly in enumerate(self.h, start=1):
             if poly.eval_mask(alpha):
                 out |= 1 << i
@@ -184,17 +177,6 @@ class Descriptor:
 
     def __repr__(self) -> str:
         return f"Descriptor(n={self.n!r}, h={self.h!r})"
-
-    def __reduce__(self):
-        if self._tables is not None:
-            return Descriptor.from_tables, (self.n, self._tables)
-        return Descriptor, (self.n, self.h)
-
-
-def _init(d: Descriptor, n: int, polys: list, tables: Optional[tuple[int, ...]]) -> None:
-    object.__setattr__(d, "n", n)
-    object.__setattr__(d, "_polys", polys)
-    object.__setattr__(d, "_tables", tables)
 
 
 def identity_descriptor(n: int) -> Descriptor:
@@ -556,19 +538,21 @@ def _descriptor(entries: list, n: int) -> Descriptor:
 
 def _merge_step(
     entries: list,
-    lens: list[int],
+    lens: Optional[list[int]],
     clause: Clause3,
     n: int,
     cap: int,
     trace: Optional[MergeTrace],
     step: int,
     clause_index: int,
-) -> Optional[tuple[list, list[int]]]:
+) -> Optional[tuple[list, Optional[list[int]]]]:
     """Merge one clause into entries (tables when ``_on_tables(n)``).
 
     Returns the merged entries with their lengths, or None when the result
     is unsatisfiable; records the step when a trace is given.  ``lens`` are
-    the lengths of ``entries``; only entries that changed are measured again.
+    the lengths of ``entries``, which only the trace reads: only entries
+    that changed are measured again, and nothing is measured without a trace
+    (``lens`` None).
     """
     _check_clause_fits(clause, n)
     sweep = _merge_clause_tables if _on_tables(n) else _merge_clause
@@ -588,27 +572,28 @@ def _merge_step(
                 )
             )
         return None
+    if trace is None:
+        return h, None
     new_lens = [
         old_len if new == old else _entry_len(new, l)
         for l, (new, old, old_len) in enumerate(zip(h, entries, lens), start=1)
     ]
-    if trace is not None:
-        if chain:
-            situation = "C"
-        elif h == entries:
-            situation = "A"
-        else:
-            situation = "B"
-        trace.record(
-            MergeStep(
-                step=step,
-                clause_index=clause_index,
-                t=clause.t,
-                situation=situation,
-                chain=chain,
-                lens=tuple(new_lens),
-            )
+    if chain:
+        situation = "C"
+    elif h == entries:
+        situation = "A"
+    else:
+        situation = "B"
+    trace.record(
+        MergeStep(
+            step=step,
+            clause_index=clause_index,
+            t=clause.t,
+            situation=situation,
+            chain=chain,
+            lens=tuple(new_lens),
         )
+    )
     return h, new_lens
 
 
@@ -623,7 +608,9 @@ def merge(
 ) -> Optional[Descriptor]:
     """Merge one clause into a descriptor; None signals an unsatisfiable result."""
     entries: list = list(f.tables if _on_tables(f.n) else f.h)
-    lens = [_entry_len(entry, l) for l, entry in enumerate(entries, start=1)]
+    lens = None
+    if trace is not None:
+        lens = [_entry_len(entry, l) for l, entry in enumerate(entries, start=1)]
     merged = _merge_step(entries, lens, clause, f.n, cap, trace, step, clause_index)
     return None if merged is None else _descriptor(merged[0], f.n)
 

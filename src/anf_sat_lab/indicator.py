@@ -129,16 +129,9 @@ def _one_sided_entry(group: SortedFormula, t: int, *, positive: bool) -> AnfPoly
                 f"one-sided group at t={t} disturbed entry {i}"
             )
     h_t = h.entry(t)
-    if h.on_tables:
-        # The table's low half is h_t at x_t=0, its high half h_t at x_t=1.
-        half = 1 << (t - 1)
-        table, ones = h.tables[t - 1], (1 << half) - 1
-        collapsed = table >> half == ones if positive else not table & ones
-    else:
-        collapsed = h_t.restrict(t, 1).is_one() if positive else h_t.restrict(t, 0).is_zero()
-    if not collapsed:
-        if positive:
-            raise Property2Violation(f"h_plus at t={t} does not collapse to 1 at x_t=1")
+    if positive and not h_t.restrict(t, 1).is_one():
+        raise Property2Violation(f"h_plus at t={t} does not collapse to 1 at x_t=1")
+    if not positive and not h_t.restrict(t, 0).is_zero():
         raise Property2Violation(f"h_minus at t={t} does not collapse to 0 at x_t=0")
     return h_t
 

@@ -371,6 +371,7 @@ class TestTableFold:
                     m.setattr(descriptor, "_on_tables", lambda n: False)
                     want = merge(current, clause, sparse, step=pos, clause_index=pos)
                 assert got == want and tables == sparse, (seed, pos)
+                assert merge(current, clause) == got  # no trace, no lengths measured
                 if got is None:
                     break
                 current = got
