@@ -263,6 +263,9 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
+    except OSError as exc:
+        sys.stderr.write(f"cannot write {args.report_dir}: {exc}\n")
+        return EXIT_IO
     payload = {
         "instances": stats.instances,
         "divergences": stats.divergences,

@@ -101,10 +101,6 @@ class Clause3:
                 return True  # a literal is true
         return False
 
-    # A clause is false exactly on its forbidden triple.
-    def falsified_by_mask(self, assignment: int) -> bool:
-        return not self.satisfied_by_mask(assignment)
-
 
 @dataclass(frozen=True)
 class Formula:

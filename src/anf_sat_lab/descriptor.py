@@ -69,7 +69,6 @@ class Descriptor:
 
     n: int
     _polys: list  # h_i at [i - 1]; None until converted from its table
-    _tables: Optional[tuple[int, ...]]
 
     def __init__(self, n: int, h: Sequence[AnfPoly]):
         if len(h) != n:
@@ -79,7 +78,7 @@ class Descriptor:
                 raise InvariantViolation(
                     f"h_{i} uses variable {poly.max_var()} > {i} (not triangular)"
                 )
-        vars(self).update(n=n, _polys=list(h), _tables=None)
+        vars(self).update(n=n, _polys=list(h))
 
     @classmethod
     def from_tables(cls, n: int, tables: Sequence[int]) -> "Descriptor":
@@ -90,7 +89,7 @@ class Descriptor:
             if table < 0 or table >> (1 << i):
                 raise InvariantViolation(f"table of h_{i} does not fit in 2**{i} bits")
         d = object.__new__(cls)
-        vars(d).update(n=n, _polys=[None] * n, _tables=tuple(tables))
+        vars(d).update(n=n, _polys=[None] * n, tables=tuple(tables))
         return d
 
     @property
@@ -102,7 +101,7 @@ class Descriptor:
         """1-based access: entry(i) is h_i."""
         poly = self._polys[i - 1]
         if poly is None:
-            table = self._tables[i - 1]
+            table = self.tables[i - 1]
             if table == var_columns(i)[i]:
                 poly = AnfPoly.var(i)
             else:
@@ -110,7 +109,7 @@ class Descriptor:
             self._polys[i - 1] = poly
         return poly
 
-    @property
+    @cached_property
     def tables(self) -> tuple[int, ...]:
         """Entry i as its 2**i-bit truth table over a_1..a_i.
 
@@ -118,10 +117,7 @@ class Descriptor:
         descriptor built from polynomials computes them once, 2**(n+1) bits
         in all.
         """
-        if self._tables is None:
-            tables = tuple(p.truth_column(i) for i, p in enumerate(self.h, start=1))
-            object.__setattr__(self, "_tables", tables)
-        return self._tables
+        return tuple(p.truth_column(i) for i, p in enumerate(self.h, start=1))
 
     @property
     def on_tables(self) -> bool:
@@ -155,9 +151,6 @@ class Descriptor:
                 images[alpha] |= 1 << i
         return set(images)
 
-    def max_len(self) -> int:
-        return max((len(p) for p in self.h), default=0)
-
     def to_json(self) -> list[str]:
         return [p.to_text("a") for p in self.h]
 
@@ -168,8 +161,8 @@ class Descriptor:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._tables is not None and other._tables is not None:
-            return self._tables == other._tables
+        if self.on_tables and other.on_tables:
+            return self.tables == other.tables
         return self.h == other.h
 
     def __hash__(self) -> int:
@@ -321,8 +314,6 @@ class MergeTrace:
 
     def w(self, t: int) -> frozenset[int]:
         """W(x_t) = W*(x_t) without indices above t; W(x_n) = V(x_n)."""
-        if t == self.n:
-            return self._sets.v_of(t)
         return frozenset(i for i in self.w_star(t) if i <= t)
 
 
@@ -545,40 +536,29 @@ def _merge_step(
     trace: Optional[MergeTrace],
     step: int,
     clause_index: int,
-) -> Optional[tuple[list, Optional[list[int]]]]:
+) -> tuple[Optional[list], Optional[list[int]]]:
     """Merge one clause into entries (tables when ``_on_tables(n)``).
 
-    Returns the merged entries with their lengths, or None when the result
-    is unsatisfiable; records the step when a trace is given.  ``lens`` are
-    the lengths of ``entries``, which only the trace reads: only entries
-    that changed are measured again, and nothing is measured without a trace
-    (``lens`` None).
+    Returns ``(h, lens)``: the merged entries, None when the result is
+    unsatisfiable, and their lengths; records the step when a trace is
+    given.  ``lens`` are the lengths of ``entries``, which only the trace
+    reads: only entries that changed are measured again, and nothing is
+    measured without a trace (``lens`` None).
     """
     _check_clause_fits(clause, n)
     sweep = _merge_clause_tables if _on_tables(n) else _merge_clause
     try:
         h, chain = sweep(list(entries), clause, n, cap)
     except _Unsatisfiable as exc:
-        if trace is not None:
-            trace.record(
-                MergeStep(
-                    step=step,
-                    clause_index=clause_index,
-                    t=clause.t,
-                    situation="C",
-                    chain=exc.chain,
-                    lens=tuple(lens),
-                    unsat=True,
-                )
-            )
-        return None
+        h, chain = None, exc.chain
     if trace is None:
         return h, None
-    new_lens = [
-        old_len if new == old else _entry_len(new, l)
-        for l, (new, old, old_len) in enumerate(zip(h, entries, lens), start=1)
-    ]
-    if chain:
+    if h is not None:
+        lens = [
+            old_len if new == old else _entry_len(new, l)
+            for l, (new, old, old_len) in enumerate(zip(h, entries, lens), start=1)
+        ]
+    if h is None or chain:
         situation = "C"
     elif h == entries:
         situation = "A"
@@ -591,10 +571,11 @@ def _merge_step(
             t=clause.t,
             situation=situation,
             chain=chain,
-            lens=tuple(new_lens),
+            lens=tuple(lens),
+            unsat=h is None,
         )
     )
-    return h, new_lens
+    return h, lens
 
 
 def merge(
@@ -611,8 +592,8 @@ def merge(
     lens = None
     if trace is not None:
         lens = [_entry_len(entry, l) for l, entry in enumerate(entries, start=1)]
-    merged = _merge_step(entries, lens, clause, f.n, cap, trace, step, clause_index)
-    return None if merged is None else _descriptor(merged[0], f.n)
+    h, _ = _merge_step(entries, lens, clause, f.n, cap, trace, step, clause_index)
+    return None if h is None else _descriptor(h, f.n)
 
 
 def build(
@@ -629,7 +610,7 @@ def build(
     lens = [1] * f.n
     for pos, clause in enumerate(f.clauses, start=1):
         try:
-            merged = _merge_step(entries, lens, clause, f.n, cap, trace, pos, pos)
+            h, lens = _merge_step(entries, lens, clause, f.n, cap, trace, pos, pos)
         except ResourceCap as exc:
             return BuildResult(
                 status="capped",
@@ -637,9 +618,9 @@ def build(
                 trace=trace,
                 capped_at=(int(exc.where), exc.size),
             )
-        if merged is None:
+        if h is None:
             return BuildResult(status="unsat", descriptor=None, trace=trace)
-        entries, lens = merged
+        entries = h
     return BuildResult(status="ok", descriptor=_descriptor(entries, f.n), trace=trace)
 
 

@@ -70,10 +70,6 @@ class SMatrix:
     def is_empty(self) -> bool:
         return not self.rows
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.rows) == 1 and all(c == NEUTRAL for c in self.rows[0])
-
     def assignments(self) -> frozenset[tuple[int, ...]]:
         """All concrete assignments covered by the rows."""
         out: set[tuple[int, ...]] = set()
@@ -87,10 +83,7 @@ class SMatrix:
         return frozenset(out)
 
     def same_set(self, other: "SMatrix") -> bool:
-        a, b = self, other
-        if a.support != b.support:
-            joint = sorted(set(a.support) | set(b.support))
-            a, b = a.extend(joint), b.extend(joint)
+        a, b = _align(self, other)
         return a.assignments() == b.assignments()
 
     # --- operations -------------------------------------------------------

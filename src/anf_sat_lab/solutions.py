@@ -39,10 +39,8 @@ class SolutionSet:
     def to_dimacs_v_lines(self) -> str:
         lines = []
         for sol in self.solutions:
-            lits = " ".join(
-                str(i if b else -i) for i, b in enumerate(sol, start=1)
-            )
-            lines.append(f"v {lits} 0")
+            lits = "".join(f" {i if b else -i}" for i, b in enumerate(sol, start=1))
+            lines.append(f"v{lits} 0")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_json(self) -> list[list[int]]:

@@ -107,6 +107,13 @@ class TestEnumerate:
         assert code == 0
         assert out == "s UNSATISFIABLE\n"
 
+    def test_zero_variables(self, tmp_path, capsys):
+        p = tmp_path / "empty.cnf"
+        p.write_text("p cnf 0 0\n")
+        code, out, _ = run_main(["enumerate", str(p)], capsys)
+        assert code == 0
+        assert out == "v 0\nc 1 solutions\n"
+
 
 class TestIndicator:
     def test_clauses_form(self, two_cnf, capsys):
@@ -224,6 +231,31 @@ class TestFalsify:
             assert (tmp_path / "reports" / "reports.jsonl").exists()
         else:
             assert code == 0
+
+    def test_unwritable_report_dir_is_io_error(self, capsys, tmp_path, monkeypatch):
+        import anf_sat_lab.falsify as fz
+
+        # a fake divergence, so that there are reports to write
+        monkeypatch.setitem(fz._CHECKERS, "MERGE_SOUNDNESS", lambda f: ("x", "y"))
+        (tmp_path / "file").write_text("")
+        report_dir = str(tmp_path / "file" / "reports")  # parent is not a directory
+        code, out, err = run_main(
+            [
+                "falsify",
+                "--claims",
+                "MERGE_SOUNDNESS",
+                "--count",
+                "1",
+                "--n",
+                "5",
+                "--report-dir",
+                report_dir,
+            ],
+            capsys,
+        )
+        assert code == 74 and out == ""
+        assert err.startswith(f"cannot write {report_dir}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_unknown_claim_usage_error(self, capsys):
         code, _, err = run_main(

@@ -1,7 +1,9 @@
 import copy
+import hashlib
 import pickle
 import random
 from contextlib import contextmanager
+from dataclasses import astuple
 from functools import cache
 from itertools import combinations, product
 from unittest import mock
@@ -471,7 +473,7 @@ class TestTableBackedDescriptor:
 
         pairs = 0
         for h, twin in twin_pairs():
-            assert h._tables is not None
+            assert "tables" in vars(h)
             with on_polynomials(monkeypatch):
                 want = reads(twin)
             if want[4] is not None:
@@ -550,8 +552,6 @@ class TestTableBackedDescriptor:
 class TestTraceLookups:
     def test_profile_bytes_pinned(self):
         # sha256 of the profile CSV as rendered before truth-table builds
-        import hashlib
-
         result = build(sort_clauses(random_formula(10, 43, 1)))
         text = profile_csv(result.trace)
         assert len(text.splitlines()) == 57
@@ -586,3 +586,46 @@ class TestTraceLookups:
         for t in range(1, 11):
             trace.w(t)
         assert len(calls) == 1
+
+
+def trace_record(status, capped_at, trace):
+    """Every MergeStep field, the predecessor edges, the status and the cap hit."""
+    lines = [f"{status} {capped_at}"]
+    lines += [repr(astuple(step)) for step in trace.steps]
+    lines.append(repr(sorted(trace.pred_edges)))
+    return "\n".join(lines) + "\n"
+
+
+class TestTracePinned:
+    """Traces pinned by digest, so a fault shared by both folds still shows."""
+
+    def test_build_traces_pinned(self):
+        text, statuses = [], set()
+        for n in range(4, 13):
+            for ratio in (2.5, 4.26, 6):
+                for seed in (1, 2, 3):
+                    sf = sort_clauses(random_formula(n, round(ratio * n), seed))
+                    for cap in (4, descriptor.DEFAULT_LEN_CAP):
+                        result = build(sf, cap=cap)
+                        statuses.add(result.status)
+                        text.append(trace_record(result.status, result.capped_at, result.trace))
+        assert statuses == {"ok", "unsat", "capped"}
+        sparse = build(sort_clauses(random_formula(21, 14, 1)))  # above the table gate
+        assert sparse.ok and any(step.chain for step in sparse.trace.steps)
+        text.append(trace_record(sparse.status, sparse.capped_at, sparse.trace))
+        assert hashlib.sha256("".join(text).encode()).hexdigest() == (
+            "dd35727b784e44d7fcb7be1381e5ee81b2d35a37e980bc929a797c62d8e0e2a6"
+        )
+
+    def test_merge_chain_to_unsat_pinned(self):
+        sf = sort_clauses(random_formula(8, 60, 2))
+        current, trace = identity_descriptor(8), MergeTrace(n=8)
+        for pos, clause in enumerate(sf.clauses, start=1):
+            current = merge(current, clause, trace, step=pos, clause_index=pos)
+            if current is None:
+                break
+        assert current is None and trace.steps[-1].unsat
+        assert {step.situation for step in trace.steps} == {"A", "B", "C"}
+        assert hashlib.sha256(trace_record("unsat", None, trace).encode()).hexdigest() == (
+            "1a44d23a6d47637071f1f93f02a69bd68783948fb972174d0792477a617277ce"
+        )

@@ -144,6 +144,9 @@ class TestSerialization:
         s = SolutionSet(n=3, solutions=((1, 0, 1),))
         assert s.to_dimacs_v_lines() == "v 1 -2 3 0\n"
 
+    def test_v_line_without_variables(self):
+        assert SolutionSet(n=0, solutions=((),)).to_dimacs_v_lines() == "v 0\n"
+
     def test_json(self):
         s = SolutionSet(n=2, solutions=((0, 1), (1, 0)))
         assert s.to_json() == [[0, 1], [1, 0]]
