@@ -95,10 +95,9 @@ def _write_output(path: Optional[str], text: str) -> None:
 
 
 def _load_formula(path: str) -> Formula:
-    text = _read_input(path)
     try:
-        return parse_dimacs(text)
-    except AnfSatError as exc:
+        return parse_dimacs(_read_input(path))
+    except (AnfSatError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         sys.exit(EXIT_SOFT_FAIL)
 

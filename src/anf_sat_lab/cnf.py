@@ -1,4 +1,5 @@
-"""3-CNF instances: parsing, validation, clause ordering and structural sets.
+"""3-CNF instances: parsing, validation, clause ordering, clause groups,
+renaming and structural sets.
 
 Clauses hold exactly three literals over distinct variables, stored in
 ascending variable order.  Variables are 1-based everywhere in this module's
@@ -11,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import HeaderMismatch, MalformedClause, VarOutOfRange
 
@@ -27,6 +28,7 @@ __all__ = [
     "formula_to_json",
     "sort_clauses",
     "relabel_by_frequency",
+    "rename",
     "split_plus_minus",
     "subproblem",
     "static_sets",
@@ -165,6 +167,15 @@ class SortedFormula(Formula):
                     f"clauses {a.signed()} and {b.signed()} are out of order"
                 )
 
+    @cached_property
+    def groups(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Entry t: 1-based positions of the clauses whose top variable is t,
+        split into (x_t negated, x_t positive); entry 0 is empty."""
+        groups: list[tuple[list[int], list[int]]] = [([], []) for _ in range(self.n + 1)]
+        for pos, cl in enumerate(self.clauses, start=1):
+            groups[cl.t][0 if cl.top_negated else 1].append(pos)
+        return tuple((tuple(minus), tuple(plus)) for minus, plus in groups)
+
 
 def _sort_key(cl: Clause3) -> tuple[int, int]:
     # Negative occurrences of the top variable come first within a t-group.
@@ -191,27 +202,26 @@ def relabel_by_frequency(f: Formula) -> tuple[Formula, tuple[int, ...]]:
     for cl in f.clauses:
         for l in cl.lits:
             counts[l.var] += 1
-    by_freq = sorted(range(1, f.n + 1), key=lambda v: (-counts[v], v))
-    old_to_new = {old: new for new, old in enumerate(by_freq, start=1)}
+    by_freq = tuple(sorted(range(1, f.n + 1), key=lambda v: (-counts[v], v)))
+    return rename(f, by_freq), by_freq
+
+
+def rename(f: Formula, order: Sequence[int]) -> Formula:
+    """The formula over variables 1..len(order) in which ``order[k - 1]`` becomes k."""
+    new = {old: k for k, old in enumerate(order, start=1)}
     clauses = tuple(
-        Clause3.from_signed(
-            [(-1 if l.negated else 1) * old_to_new[l.var] for l in cl.lits]
-        )
+        Clause3.from_signed([(-1 if l.negated else 1) * new[l.var] for l in cl.lits])
         for cl in f.clauses
     )
-    return Formula(n=f.n, clauses=clauses), tuple(by_freq)
+    return Formula(n=len(order), clauses=clauses)
 
 
 def split_plus_minus(f: SortedFormula, t: int) -> tuple[SortedFormula, SortedFormula]:
     """Clauses with highest variable t, split by the polarity of x_t."""
     if not 1 <= t <= f.n:
         raise VarOutOfRange(f"t must be in 1..{f.n}, got {t}")
-    plus = tuple(cl for cl in f.clauses if cl.t == t and not cl.top_negated)
-    minus = tuple(cl for cl in f.clauses if cl.t == t and cl.top_negated)
-    return (
-        SortedFormula(n=f.n, clauses=plus, witness=()),
-        SortedFormula(n=f.n, clauses=minus, witness=()),
-    )
+    minus, plus = f.groups[t]
+    return subproblem(f, plus), subproblem(f, minus)
 
 
 def subproblem(f: SortedFormula, indices: Iterable[int]) -> SortedFormula:
@@ -220,7 +230,7 @@ def subproblem(f: SortedFormula, indices: Iterable[int]) -> SortedFormula:
     for k in wanted:
         if not 1 <= k <= f.m:
             raise VarOutOfRange(f"clause index {k} outside 1..{f.m}")
-    clauses = tuple(cl for pos, cl in enumerate(f.clauses, start=1) if pos in wanted)
+    clauses = tuple(f.clauses[k - 1] for k in sorted(wanted))
     return SortedFormula(n=f.n, clauses=clauses, witness=())
 
 
@@ -251,24 +261,13 @@ class StaticSets:
 
 
 def static_sets(f: SortedFormula) -> StaticSets:
-    cl: list[set[int]] = [set() for _ in range(f.n + 1)]
-    v: list[set[int]] = [set() for _ in range(f.n + 1)]
-    m_plus = [0] * (f.n + 1)
-    m_minus = [0] * (f.n + 1)
-    for pos, clause in enumerate(f.clauses, start=1):
-        t = clause.t
-        cl[t].add(pos)
-        v[t].update(l.var for l in clause.lits)
-        if clause.top_negated:
-            m_minus[t] += 1
-        else:
-            m_plus[t] += 1
+    cl = tuple(frozenset(minus + plus) for minus, plus in f.groups)
     return StaticSets(
         n=f.n,
-        cl=tuple(frozenset(s) for s in cl),
-        v=tuple(frozenset(s) for s in v),
-        m_plus=tuple(m_plus),
-        m_minus=tuple(m_minus),
+        cl=cl,
+        v=tuple(frozenset(l.var for k in ks for l in f.clauses[k - 1].lits) for ks in cl),
+        m_plus=tuple(len(plus) for _, plus in f.groups),
+        m_minus=tuple(len(minus) for minus, _ in f.groups),
     )
 
 

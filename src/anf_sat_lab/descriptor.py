@@ -339,12 +339,6 @@ class BuildResult:
         return self.status == "capped"
 
 
-class _Unsatisfiable(Exception):
-    def __init__(self, chain: tuple[int, ...]):
-        super().__init__("residual constraint degenerated to the constant 1")
-        self.chain = chain
-
-
 def _over_cap(l: int, size: int, cap: int) -> ResourceCap:
     return ResourceCap(f"len(h_{l}) = {size} exceeds cap {cap}", where=str(l), size=size)
 
@@ -370,12 +364,12 @@ def _merge_clause(
     clause: Clause3,
     n: int,
     cap: int,
-) -> tuple[list[AnfPoly], tuple[int, ...]]:
+) -> tuple[Optional[list[AnfPoly]], tuple[int, ...]]:
     """Run the descending sweep for one clause on sparse polynomials.
 
-    Returns (h list, cascade chain).  Raises _Unsatisfiable when a residual
-    degenerates to the constant 1 and ResourceCap when an entry outgrows
-    the cap.
+    Returns (h list, cascade chain), with h None when a residual
+    degenerates to the constant 1.  Raises ResourceCap when an entry
+    outgrows the cap.
     """
     t = clause.t
     g_clause = clause_forbidden_monomial(clause) + AnfPoly.var(t)
@@ -397,7 +391,7 @@ def _merge_clause(
         # Cascade: fold the residual constraint into ever-lower entries.
         while not residual.is_zero():
             if residual.is_one():
-                raise _Unsatisfiable(tuple(chain))
+                return None, tuple(chain)
             j = residual.max_var()
             _check_chain(chain, j)
             chain.append(j)
@@ -441,7 +435,7 @@ def _merge_clause_tables(
     clause: Clause3,
     n: int,
     cap: int,
-) -> tuple[list[int], tuple[int, ...]]:
+) -> tuple[Optional[list[int]], tuple[int, ...]]:
     """``_merge_clause`` with entry i held as its 2**i-bit truth table.
 
     Composition with lower entries, restriction and substitution act on
@@ -473,7 +467,7 @@ def _merge_clause_tables(
         width = l - 1  # the residual is a table over a_1..a_width
         while residual:
             if residual == all_ones_column(width):
-                raise _Unsatisfiable(tuple(chain))
+                return None, tuple(chain)
             # Its ANF uses a_width exactly when its two halves differ.
             half = 1 << (width - 1)
             while residual >> half == residual & ((1 << half) - 1):
@@ -547,10 +541,7 @@ def _merge_step(
     """
     _check_clause_fits(clause, n)
     sweep = _merge_clause_tables if _on_tables(n) else _merge_clause
-    try:
-        h, chain = sweep(list(entries), clause, n, cap)
-    except _Unsatisfiable as exc:
-        h, chain = None, exc.chain
+    h, chain = sweep(list(entries), clause, n, cap)
     if trace is None:
         return h, None
     if h is not None:

@@ -23,7 +23,7 @@ from . import descriptor as _descriptor_mod
 from . import indicator as _indicator_mod
 from . import coeffs as _coeffs_mod
 from .anf import all_ones_column, set_bits
-from .cnf import Clause3, Formula, sort_clauses, to_dimacs
+from .cnf import Formula, rename, sort_clauses, to_dimacs
 from .coeffs import decide_sat_bounded
 from .descriptor import build
 from .errors import InvariantViolation, ResourceCap, TooLarge
@@ -164,15 +164,7 @@ def check_claim(claim_id: str, f: Formula) -> Optional[tuple[str, str]]:
 
 def compact_variables(f: Formula) -> Formula:
     """Renumber variables 1..n' to close gaps left by clause removal."""
-    used = sorted({l.var for cl in f.clauses for l in cl.lits})
-    remap = {old: new for new, old in enumerate(used, start=1)}
-    clauses = tuple(
-        Clause3.from_signed(
-            [(-1 if l.negated else 1) * remap[l.var] for l in cl.lits]
-        )
-        for cl in f.clauses
-    )
-    return Formula(n=len(used), clauses=clauses)
+    return rename(f, sorted({l.var for cl in f.clauses for l in cl.lits}))
 
 
 def minimize_formula(

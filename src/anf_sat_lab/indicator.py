@@ -88,24 +88,16 @@ def factor_sequence(f: SortedFormula) -> FactorSequence:
     """
     h_plus: list[AnfPoly] = []
     h_minus: list[AnfPoly] = []
-    plus_idx: list[tuple[int, ...]] = []
-    minus_idx: list[tuple[int, ...]] = []
     for t in range(1, f.n + 1):
         plus, minus = split_plus_minus(f, t)
-        plus_idx.append(
-            tuple(k for k, cl in enumerate(f.clauses, start=1) if cl.t == t and not cl.top_negated)
-        )
-        minus_idx.append(
-            tuple(k for k, cl in enumerate(f.clauses, start=1) if cl.t == t and cl.top_negated)
-        )
         h_plus.append(_one_sided_entry(plus, t, positive=True))
         h_minus.append(_one_sided_entry(minus, t, positive=False))
     return FactorSequence(
         n=f.n,
         h_plus=tuple(h_plus),
         h_minus=tuple(h_minus),
-        plus_clauses=tuple(plus_idx),
-        minus_clauses=tuple(minus_idx),
+        plus_clauses=tuple(plus for _, plus in f.groups[1:]),
+        minus_clauses=tuple(minus for minus, _ in f.groups[1:]),
     )
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -63,6 +64,23 @@ class TestParse:
         with pytest.raises(SystemExit) as exc:
             main(["parse"])  # missing input
         assert exc.value.code == 64
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_undecodable_input_is_parse_error(self, tmp_path, source):
+        p = tmp_path / "bad.cnf"
+        p.write_bytes(b"p cnf 3 1\n1 2 \xff3 0\n")
+        argv = [sys.executable, "-m", "anf_sat_lab.cli", "parse"]
+        with open(p, "rb") as fh:
+            proc = subprocess.run(
+                argv + [str(p) if source == "path" else "-"],
+                stdin=fh,
+                capture_output=True,
+                env=dict(os.environ, PYTHONIOENCODING="utf-8"),
+            )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"parse error: ")
+        assert proc.stderr.count(b"\n") == 1
 
 
 class TestBuildProfile:

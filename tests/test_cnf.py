@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from anf_sat_lab.cnf import (
     Clause3,
+    Formula,
     formula_from_json,
     formula_to_json,
     parse_dimacs,
@@ -15,6 +17,8 @@ from anf_sat_lab.cnf import (
     to_dimacs,
 )
 from anf_sat_lab.errors import HeaderMismatch, MalformedClause, VarOutOfRange
+from anf_sat_lab.falsify import compact_variables
+from anf_sat_lab.indicator import factor_sequence
 from anf_sat_lab.oracle import random_formula
 
 from golden import EIGHT_CLAUSE, SIX_VAR, TWO_CLAUSE
@@ -272,3 +276,62 @@ class TestRelabelSpecExample:
         assert perm == (3, 4, 5, 1, 2)
         # the old x3 (now x1) appears in every relabeled clause
         assert all(any(l.var == 1 for l in cl.lits) for cl in relabeled.clauses)
+
+
+class TestPinnedViews:
+    """The clause-group views and renamings of a grid, pinned by one sha256.
+
+    Covers ``split_plus_minus`` for every t, every ``static_sets`` field,
+    ``relabel_by_frequency``, ``compact_variables`` of every clause prefix
+    and the texts and provenance of ``factor_sequence``.  The digest was
+    taken before these views were read from ``SortedFormula.groups`` and
+    the renamings went through ``rename``.
+    """
+
+    DIGEST = "1b568dcc09b69e252c2e33f0512c4b14f752abc74231e446db08fe9553f4595b"
+
+    @staticmethod
+    def _grid():
+        yield parse_dimacs(SIX_VAR)
+        yield parse_dimacs(EIGHT_CLAUSE)
+        for n in range(3, 13):
+            capacity = 8 * (n * (n - 1) * (n - 2) // 6)
+            for ratio in (1, 2.5, 4.26, 6):
+                for seed in (1, 2, 3):
+                    yield random_formula(n, min(capacity, max(1, round(ratio * n))), seed)
+
+    @staticmethod
+    def _record(f):
+        def ints(values):
+            return ",".join(str(v) for v in values)
+
+        def clauses(g):
+            return ";".join(ints(cl.signed()) for cl in g.clauses)
+
+        sf = sort_clauses(f)
+        lines = [to_dimacs(f)]
+        for t in range(1, f.n + 1):
+            plus, minus = split_plus_minus(sf, t)
+            lines.append(f"split {t} {plus.n} {clauses(plus)} {ints(plus.witness)}")
+            lines.append(f"split {t} {minus.n} {clauses(minus)} {ints(minus.witness)}")
+        sets = static_sets(sf)
+        lines.append(f"sets {sets.n} {ints(sets.m_plus)} {ints(sets.m_minus)}")
+        lines += [f"cl {ints(sorted(s))}" for s in sets.cl]
+        lines += [f"v {ints(sorted(s))}" for s in sets.v]
+        relabeled, perm = relabel_by_frequency(f)
+        lines.append(f"relabel {ints(perm)}\n{to_dimacs(relabeled)}")
+        for k in range(1, f.m + 1):
+            lines.append(to_dimacs(compact_variables(Formula(n=f.n, clauses=f.clauses[:k]))))
+        fs = factor_sequence(sf)
+        for t in range(1, f.n + 1):
+            lines.append(
+                f"factor {t} {fs.h_plus[t - 1].to_text()} {fs.h_minus[t - 1].to_text()}"
+                f" {ints(fs.plus_clauses[t - 1])} {ints(fs.minus_clauses[t - 1])}"
+            )
+        return "\n".join(lines) + "\n"
+
+    def test_grid_digest(self):
+        digest = hashlib.sha256()
+        for f in self._grid():
+            digest.update(self._record(f).encode())
+        assert digest.hexdigest() == self.DIGEST
