@@ -21,6 +21,7 @@ from .errors import UncoveredVariable
 __all__ = [
     "AnfPoly",
     "IntPoly",
+    "cube",
     "mask_of_vars",
     "vars_of_mask",
     "bits_of_mask",
@@ -315,6 +316,17 @@ _ZERO = AnfPoly._wrap(frozenset())
 _ONE = AnfPoly._wrap(frozenset((0,)))
 
 
+def cube(pairs: Iterable[tuple[AnfPoly, int]]) -> AnfPoly:
+    """Product of ``p`` where ``b`` is 1 and of ``p + 1`` where ``b`` is 0.
+
+    It is 1 exactly where every ``p`` equals its ``b``; the empty product is 1.
+    """
+    out = _ONE
+    for p, b in pairs:
+        out = out * (p if b else p + _ONE)
+    return out
+
+
 class IntPoly:
     """Multilinear polynomial with unbounded integer coefficients (x^2 = x).
 
@@ -405,12 +417,16 @@ class IntPoly:
     def eval_mask(self, assignment: int) -> int:
         return sum(c for m, c in self._coeffs.items() if m & assignment == m)
 
+    def max_var(self) -> int:
+        """Highest occurring variable index, 0 for constants."""
+        top = max(self._coeffs, default=0)  # the largest mask has the highest bit
+        return top.bit_length() - 1 if top else 0
+
     def eval(self, assignment: Sequence[int]) -> int:
-        max_var = max((m.bit_length() - 1 for m in self._coeffs), default=0)
-        if max_var > len(assignment):
+        if self.max_var() > len(assignment):
             raise UncoveredVariable(
                 f"assignment of length {len(assignment)} does not cover "
-                f"variable {max_var}"
+                f"variable {self.max_var()}"
             )
         return self.eval_mask(mask_of_vars(i for i, b in enumerate(assignment, 1) if b))
 

@@ -73,7 +73,9 @@ def _nonnegative_int(text: str) -> int:
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        # Strict UTF-8 as for a path, whatever the locale; an in-memory stdin holds text.
+        buffer = getattr(sys.stdin, "buffer", None)
+        return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Optional, Sequence
 
-from .anf import AnfPoly, all_ones_column, moebius, set_bits, var_columns, widen
+from .anf import AnfPoly, all_ones_column, cube, moebius, set_bits, var_columns, widen
 from .cnf import Clause3, SortedFormula, StaticSets, static_sets
 from .errors import InvariantViolation, ResourceCap
 
@@ -179,13 +179,9 @@ def identity_descriptor(n: int) -> Descriptor:
 
 def clause_forbidden_monomial(clause: Clause3) -> AnfPoly:
     """Indicator of a clause's forbidden cube, e.g. (x1+1)(x2+1)x3."""
-    out = AnfPoly.one()
-    for lit, forbidden in zip(clause.lits, clause.forbidden_triple()):
-        factor = AnfPoly.var(lit.var)
-        if forbidden == 0:
-            factor = factor + AnfPoly.one()
-        out = out * factor
-    return out
+    return cube(
+        (AnfPoly.var(lit.var), b) for lit, b in zip(clause.lits, clause.forbidden_triple())
+    )
 
 
 def clause_descriptor(clause: Clause3, n: int) -> Descriptor:
@@ -268,30 +264,27 @@ class MergeTrace:
     steps: list[MergeStep] = field(default_factory=list)
     pred_edges: set[tuple[int, int]] = field(default_factory=set)  # (from, to), to < from
     formula: Optional[SortedFormula] = None
-    # pred_edges as an adjacency dict: from -> {to}
-    _succ: dict[int, set[int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def record(self, step: MergeStep) -> None:
         self.steps.append(step)
-        self.__dict__.pop("_w_stars", None)  # a new edge can widen any W*
+        for name in ("_preds", "_w_stars"):  # a new edge can widen any P and W*
+            self.__dict__.pop(name, None)
         prev = step.t
         for j in step.chain:
             self.pred_edges.add((prev, j))
-            self._succ.setdefault(prev, set()).add(j)
             prev = j
+
+    @cached_property
+    def _preds(self) -> dict[int, frozenset[int]]:
+        # Edges only go down, so in ascending order P(b) is final before (a, b) reads it.
+        acc: dict[int, frozenset[int]] = {}
+        for a, b in sorted(self.pred_edges):
+            acc[a] = acc.get(a, frozenset()) | acc.get(b, frozenset()) | {b}
+        return acc
 
     def predecessors(self, t: int) -> frozenset[int]:
         """P(t): all levels reachable through cascade edges from t."""
-        seen: set[int] = set()
-        frontier = [t]
-        while frontier:
-            for b in self._succ.get(frontier.pop(), ()):
-                if b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-        return frozenset(seen)
+        return self._preds.get(t, frozenset())
 
     @cached_property
     def _sets(self) -> StaticSets:
@@ -301,11 +294,10 @@ class MergeTrace:
 
     @cached_property
     def _w_stars(self) -> dict[int, frozenset[int]]:
-        # Edges only go down, so from level n down each W*(x_u) is final when reached.
         acc = {t: set(self._sets.v_of(t)) for t in range(1, self.n + 1)}
-        for u in range(self.n, 0, -1):
-            for t in self._succ.get(u, ()):
-                acc[t] |= acc[u]
+        for u, preds in self._preds.items():
+            for t in preds:
+                acc[t] |= self._sets.v_of(u)
         return {t: frozenset(w) for t, w in acc.items()}
 
     def w_star(self, t: int) -> frozenset[int]:
@@ -348,17 +340,6 @@ def _check_chain(chain: list[int], j: int) -> None:
         raise InvariantViolation(f"cascade level {j} does not decrease (chain {chain})")
 
 
-def _compose_clause_entry(g_t: AnfPoly, f: list[AnfPoly], t: int) -> AnfPoly:
-    """Substitute a_i <- f_i (i < t) into the clause's t-entry."""
-    out = g_t
-    for i in sorted(v for v in g_t.support() if v < t):
-        fi = f[i - 1]
-        if fi == AnfPoly.var(i):
-            continue
-        out = out.substitute(i, fi)
-    return out
-
-
 def _merge_clause(
     f: list[AnfPoly],
     clause: Clause3,
@@ -372,18 +353,20 @@ def _merge_clause(
     outgrows the cap.
     """
     t = clause.t
-    g_clause = clause_forbidden_monomial(clause) + AnfPoly.var(t)
     h: list[AnfPoly] = [AnfPoly.zero()] * n
     chain: list[int] = []
     for l in range(n, 0, -1):
         fl = f[l - 1]
+        gl = AnfPoly.var(l)
         if l == t:
-            gl = _compose_clause_entry(g_clause, f, t)
-        else:
-            gl = AnfPoly.var(l)
-            if fl == gl:  # identity merged with identity stays identity
-                h[l - 1] = fl
-                continue
+            # a_t + the forbidden cube with a_v <- f_v below t
+            gl += cube(
+                (gl if lit.var == t else f[lit.var - 1], b)
+                for lit, b in zip(clause.lits, clause.forbidden_triple())
+            )
+        elif fl == gl:  # identity merged with identity stays identity
+            h[l - 1] = fl
+            continue
         h_l, residual = merge_poly(fl, gl, l)
         if len(h_l) > cap:
             raise _over_cap(l, len(h_l), cap)

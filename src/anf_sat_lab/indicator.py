@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, TypeVar
 
-from .anf import AnfPoly, IntPoly
+from .anf import AnfPoly, IntPoly, cube
 from .cnf import Formula, SortedFormula, split_plus_minus
 from .descriptor import Descriptor, build, clause_forbidden_monomial
 from .errors import Property2Violation, ResourceCap
@@ -174,13 +174,7 @@ def indicator_from_solutions(s: SolutionSet) -> AnfPoly:
     """Mod-2 sum of one-solution indicators prod x_i^{s_i} (x_i+1)^{1-s_i}."""
     acc = AnfPoly.zero()
     for sol in s.solutions:
-        term = AnfPoly.one()
-        for i, bit in enumerate(sol, start=1):
-            factor = AnfPoly.var(i)
-            if bit == 0:
-                factor = factor + AnfPoly.one()
-            term = term * factor
-        acc = acc + term
+        acc = acc + cube((AnfPoly.var(i), bit) for i, bit in enumerate(sol, start=1))
     return acc
 
 

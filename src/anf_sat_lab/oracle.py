@@ -27,7 +27,6 @@ __all__ = [
     "expand_product",
     "anf_from_truth_column",
     "random_formula",
-    "random_formula_rng",
 ]
 
 BRUTE_LIMIT = 25
@@ -98,14 +97,7 @@ def expand_product(
     limit: int = EXPAND_LIMIT,
 ) -> AnfPoly | IntPoly:
     """Full multiplication of a factor list; the slow reference path."""
-    max_var = 0
-    for p in factors:
-        if isinstance(p, AnfPoly):
-            max_var = max(max_var, p.max_var())
-        else:
-            max_var = max(
-                max_var, max((m.bit_length() - 1 for m in p.coeffs), default=0)
-            )
+    max_var = max((p.max_var() for p in factors), default=0)
     if max_var > limit:
         raise TooLarge(f"expansion over {max_var} > {limit} variables")
     if mode == "gf2":
@@ -132,13 +124,14 @@ def anf_from_truth_column(column: int, n: int) -> AnfPoly:
     return AnfPoly.from_coefficient_column(moebius(column & all_ones_column(n), n))
 
 
-def random_formula_rng(n: int, m: int, rng: random.Random) -> Formula:
-    """Uniform 3-CNF: distinct variables, independent signs, distinct clauses."""
+def random_formula(n: int, m: int, seed: int) -> Formula:
+    """Seed-stable uniform 3-CNF: distinct variables, independent signs, distinct clauses."""
     if n < 3:
         raise GenerationError(f"need n >= 3 variables, got {n}")
     max_clauses = 8 * (n * (n - 1) * (n - 2) // 6)
     if m > max_clauses:
         raise GenerationError(f"cannot draw {m} distinct clauses over {n} variables")
+    rng = random.Random(seed)
     seen: set[tuple[int, int, int]] = set()
     clauses: list[Clause3] = []
     while len(clauses) < m:
@@ -152,8 +145,3 @@ def random_formula_rng(n: int, m: int, rng: random.Random) -> Formula:
         seen.add(lits)  # type: ignore[arg-type]
         clauses.append(Clause3.from_signed(lits))
     return Formula(n=n, clauses=tuple(clauses))
-
-
-def random_formula(n: int, m: int, seed: int) -> Formula:
-    """Seed-stable uniform instance generator."""
-    return random_formula_rng(n, m, random.Random(seed))

@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 from anf_sat_lab.anf import (
     AnfPoly,
     IntPoly,
+    cube,
     mask_of_vars,
     moebius,
     set_bits,
     var_columns,
     vars_of_mask,
 )
+from anf_sat_lab.cnf import Clause3
+from anf_sat_lab.descriptor import clause_forbidden_monomial
 from anf_sat_lab.errors import UncoveredVariable
 
 from helpers import truth_table
@@ -145,6 +148,44 @@ class TestTruthKernel:
         assert AnfPoly.one().truth_column(0) == 1
 
 
+class TestCube:
+    def test_truth_column_is_and_of_literal_columns(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            pairs = []
+            for _ in range(rng.randint(0, 4)):
+                p = AnfPoly(rng.randrange(1 << n) << 1 for _ in range(rng.randint(0, 6)))
+                pairs.append((p, rng.randint(0, 1)))
+            ones = (1 << (1 << n)) - 1
+            want = ones
+            for p, b in pairs:
+                column = p.truth_column(n)
+                want &= column if b else ones ^ column
+            assert cube(pairs).truth_column(n) == want, pairs
+
+    def test_empty_product_is_one(self):
+        assert cube([]) == AnfPoly.one()
+
+    # The forbidden cube of each sign pattern, multiplied out by hand: a
+    # negated literal contributes a_v, a positive one a_v + 1.
+    @pytest.mark.parametrize(
+        "signed, text",
+        [
+            ((1, 2, 3), "1 + a1 + a2 + a3 + a1*a2 + a1*a3 + a2*a3 + a1*a2*a3"),
+            ((-1, 2, 3), "a1 + a1*a2 + a1*a3 + a1*a2*a3"),
+            ((1, -2, 3), "a2 + a1*a2 + a2*a3 + a1*a2*a3"),
+            ((-1, -2, 3), "a1*a2 + a1*a2*a3"),
+            ((1, 2, -3), "a3 + a1*a3 + a2*a3 + a1*a2*a3"),
+            ((-1, 2, -3), "a1*a3 + a1*a2*a3"),
+            ((1, -2, -3), "a2*a3 + a1*a2*a3"),
+            ((-1, -2, -3), "a1*a2*a3"),
+        ],
+    )
+    def test_clause_forbidden_monomial(self, signed, text):
+        assert clause_forbidden_monomial(Clause3.from_signed(signed)) == P(text)
+
+
 class TestRestrictSubstitute:
     def test_restrict_example(self):
         got = P("a1*a2*a3 + a3").restrict(3, 1)
@@ -269,6 +310,12 @@ class TestIntPoly:
     def test_text_roundtrip(self):
         q = IntPoly.parse("7*x1*x2 + 2*x3 + 1")
         assert IntPoly.parse(q.to_text()) == q
+
+    @pytest.mark.parametrize(
+        "text, top", [("0", 0), ("5", 0), ("2*x1*x7 + x3 + 1", 7), ("3*x2", 2)]
+    )
+    def test_max_var(self, text, top):
+        assert IntPoly.parse(text).max_var() == top
 
 
 class TestParseRejectsVariableZero:

@@ -82,6 +82,30 @@ class TestParse:
         assert proc.stderr.startswith(b"parse error: ")
         assert proc.stderr.count(b"\n") == 1
 
+    @pytest.mark.parametrize("locale", ["default", "C"])
+    def test_stdin_decodes_as_strictly_as_a_path(self, tmp_path, locale):
+        # Under a C or POSIX locale Python reads stdin with surrogateescape,
+        # which would let this Latin-1 comment through.
+        p = tmp_path / "latin1.cnf"
+        p.write_bytes(b"c caf\xe9\np cnf 3 1\n1 2 3 0\n")
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("LC_ALL", "LC_CTYPE", "LANG", "PYTHONIOENCODING", "PYTHONUTF8")
+        }
+        if locale == "C":
+            env["LC_ALL"] = "C"
+        argv = [sys.executable, "-m", "anf_sat_lab.cli", "enumerate"]
+        from_path = subprocess.run(argv + [str(p)], capture_output=True, env=env)
+        with open(p, "rb") as fh:
+            from_stdin = subprocess.run(argv + ["-"], stdin=fh, capture_output=True, env=env)
+        assert from_path.stderr == (
+            b"parse error: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+            b"invalid continuation byte\n"
+        )
+        assert (from_stdin.returncode, from_stdin.stdout) == (1, b"")
+        assert from_stdin.stderr == from_path.stderr
+
 
 class TestBuildProfile:
     def test_build_descriptor_json(self, two_cnf, capsys):

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import pickle
 import random
 from contextlib import contextmanager
@@ -615,6 +616,22 @@ class TestTracePinned:
         text.append(trace_record(sparse.status, sparse.capped_at, sparse.trace))
         assert hashlib.sha256("".join(text).encode()).hexdigest() == (
             "dd35727b784e44d7fcb7be1381e5ee81b2d35a37e980bc929a797c62d8e0e2a6"
+        )
+
+    def test_sparse_builds_pinned(self):
+        # Above the table gate every step runs the sparse sweep, its t-entry included.
+        text, cascades = [], 0
+        for n in (21, 24, 28, 32):
+            for m in (3, 10, 15):
+                for seed in (1, 2):
+                    result = build(sort_clauses(random_formula(n, m, seed)))
+                    assert result.ok, (n, m, seed)
+                    cascades += sum(bool(step.chain) for step in result.trace.steps)
+                    text.append(json.dumps(result.descriptor.to_json()) + "\n")
+                    text.append(trace_record(result.status, result.capped_at, result.trace))
+        assert cascades == 37
+        assert hashlib.sha256("".join(text).encode()).hexdigest() == (
+            "df892edcae57e6794d6e422e3e2496667ea1374c178b3979287b146ea004ecef"
         )
 
     def test_merge_chain_to_unsat_pinned(self):
