@@ -14,6 +14,7 @@ polynomials; only the text rendering differs.
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import Dict, Iterable, Iterator, Sequence
 
 from .errors import UncoveredVariable
@@ -82,6 +83,35 @@ def _parse_term(term: str) -> tuple[int, int]:
     return coeff, mask
 
 
+def _graded(mask: int) -> tuple:
+    """Graded-lexicographic key: by degree, then by ascending variables."""
+    return (bin(mask).count("1"), vars_of_mask(mask))
+
+
+def _render(terms: Iterable[tuple[int, int]], prefix: str) -> str:
+    """Text of (mask, coefficient) terms in the given order; a coefficient 1 is implicit."""
+    parts = []
+    for m, c in terms:
+        body = "*".join(f"{prefix}{v}" for v in vars_of_mask(m))
+        parts.append(f"{c}*{body}" if m and c != 1 else body or str(c))
+    return " + ".join(parts) or "0"
+
+
+def _top_var(masks: Iterable[int]) -> int:
+    """Highest variable index in the masks, 0 for constants."""
+    top = max(masks, default=0)  # the largest mask has the highest bit
+    return top.bit_length() - 1 if top else 0
+
+
+def _assignment_mask(top: int, assignment: Sequence[int]) -> int:
+    """Mask of a bit vector (position i-1 = variable i); it must reach variable ``top``."""
+    if top > len(assignment):
+        raise UncoveredVariable(
+            f"assignment of length {len(assignment)} does not cover variable {top}"
+        )
+    return mask_of_vars(i for i, b in enumerate(assignment, 1) if b)
+
+
 class AnfPoly:
     """Immutable multilinear polynomial over GF(2) (set of monomial masks)."""
 
@@ -126,15 +156,7 @@ class AnfPoly:
     @classmethod
     def parse(cls, text: str) -> "AnfPoly":
         """Parse text like ``1 + a1 + a1*a2*a3`` (``x`` prefixes accepted too)."""
-        text = text.strip()
-        if text == "0":
-            return _ZERO
-        masks = []
-        for term in text.split("+"):
-            coeff, mask = _parse_term(term)
-            if coeff % 2:
-                masks.append(mask)
-        return cls(masks)
+        return IntPoly.parse(text).reduce_mod2()
 
     # --- basic queries ----------------------------------------------------
 
@@ -166,10 +188,7 @@ class AnfPoly:
 
     def support(self) -> frozenset[int]:
         """Variables that occur in at least one monomial."""
-        m = 0
-        for mask in self._masks:
-            m |= mask
-        return frozenset(vars_of_mask(m))
+        return frozenset(vars_of_mask(self.support_mask()))
 
     def support_mask(self) -> int:
         m = 0
@@ -179,8 +198,7 @@ class AnfPoly:
 
     def max_var(self) -> int:
         """Highest occurring variable index, 0 for constants."""
-        m = self.support_mask()
-        return m.bit_length() - 1 if m else 0
+        return _top_var(self._masks)
 
     # --- ring operations --------------------------------------------------
 
@@ -250,12 +268,7 @@ class AnfPoly:
 
         Raises UncoveredVariable when the vector is shorter than the support.
         """
-        if self.max_var() > len(assignment):
-            raise UncoveredVariable(
-                f"assignment of length {len(assignment)} does not cover "
-                f"variable {self.max_var()}"
-            )
-        return self.eval_mask(mask_of_vars(i for i, b in enumerate(assignment, 1) if b))
+        return self.eval_mask(_assignment_mask(self.max_var(), assignment))
 
     def truth_column(self, n: int) -> int:
         """Truth table over all 2**n assignments packed into one int.
@@ -287,18 +300,10 @@ class AnfPoly:
 
     def sorted_masks(self) -> list[int]:
         """Graded-lexicographic order: by degree, then by ascending variables."""
-        return sorted(self._masks, key=lambda m: (bin(m).count("1"), vars_of_mask(m)))
+        return sorted(self._masks, key=_graded)
 
     def to_text(self, prefix: str = "a") -> str:
-        if not self._masks:
-            return "0"
-        parts = []
-        for m in self.sorted_masks():
-            if m == 0:
-                parts.append("1")
-            else:
-                parts.append("*".join(f"{prefix}{v}" for v in vars_of_mask(m)))
-        return " + ".join(parts)
+        return _render(((m, 1) for m in self.sorted_masks()), prefix)
 
     def to_json(self) -> list[list[int]]:
         """Sorted list of sorted variable-index lists."""
@@ -354,9 +359,6 @@ class IntPoly:
 
     @classmethod
     def parse(cls, text: str) -> "IntPoly":
-        text = text.strip()
-        if text == "0":
-            return cls()
         coeffs: Dict[int, int] = {}
         for term in text.split("+"):
             coeff, mask = _parse_term(term)
@@ -419,32 +421,14 @@ class IntPoly:
 
     def max_var(self) -> int:
         """Highest occurring variable index, 0 for constants."""
-        top = max(self._coeffs, default=0)  # the largest mask has the highest bit
-        return top.bit_length() - 1 if top else 0
+        return _top_var(self._coeffs)
 
     def eval(self, assignment: Sequence[int]) -> int:
-        if self.max_var() > len(assignment):
-            raise UncoveredVariable(
-                f"assignment of length {len(assignment)} does not cover "
-                f"variable {self.max_var()}"
-            )
-        return self.eval_mask(mask_of_vars(i for i, b in enumerate(assignment, 1) if b))
+        return self.eval_mask(_assignment_mask(self.max_var(), assignment))
 
     def to_text(self, prefix: str = "x") -> str:
-        if not self._coeffs:
-            return "0"
-        order = sorted(self._coeffs, key=lambda m: (bin(m).count("1"), vars_of_mask(m)))
-        parts = []
-        for m in order:
-            c = self._coeffs[m]
-            body = "*".join(f"{prefix}{v}" for v in vars_of_mask(m))
-            if m == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts)
+        coeffs = self._coeffs
+        return _render(((m, coeffs[m]) for m in sorted(coeffs, key=_graded)), prefix)
 
     def __repr__(self) -> str:
         return f"IntPoly({self.to_text()})"
@@ -452,9 +436,8 @@ class IntPoly:
 
 # Truth-column kernel (shared by polynomials, merges and the brute-force oracles).
 
-_COLUMN_CACHE: Dict[int, tuple[int, ...]] = {}
 
-
+@cache
 def var_columns(n: int) -> tuple[int, ...]:
     """Per-variable truth columns over 2**n assignments.
 
@@ -462,16 +445,11 @@ def var_columns(n: int) -> tuple[int, ...]:
     assignment ``a``, i.e. iff ``(a >> (i-1)) & 1``.  Each column is one
     period (``2**(i-1)`` zeros, then as many ones) doubled up to 2**n bits.
     """
-    cached = _COLUMN_CACHE.get(n)
-    if cached is not None:
-        return cached
     cols = [0] * (n + 1)
     for i in range(1, n + 1):
         half = 1 << (i - 1)
         cols[i] = widen(((1 << half) - 1) << half, i, n)
-    result = tuple(cols)
-    _COLUMN_CACHE[n] = result
-    return result
+    return tuple(cols)
 
 
 def widen(table: int, k: int, n: int) -> int:

@@ -184,7 +184,11 @@ class SweepVerdict:
     def to_json(self) -> dict:
         return {
             "k": self.k,
-            "verdict": "SAT" if self.satisfiable else "UNSAT-under-assumption",
+            "verdict": (
+                "SAT" if self.satisfiable
+                else "UNKNOWN" if self.capped
+                else "UNSAT-under-assumption"
+            ),
             "witness": list(vars_of_mask(self.witness_mask))
             if self.witness_mask is not None
             else None,

@@ -231,13 +231,15 @@ def falsify(
 ) -> tuple[list[FalsificationReport], FalsifyStats]:
     """Run each claim over seeded random instances; minimize any divergence.
 
-    Raises ValueError for an unknown claim id, or for a ratio that is not a
-    positive finite number.
+    Raises ValueError for an unknown or repeated claim id, or for a ratio
+    that is not a positive finite number.
     """
     claim_list = list(claims)
-    for c in claim_list:
+    for i, c in enumerate(claim_list):
         if c not in _CHECKERS:
             raise ValueError(f"unknown claim id {c!r}")
+        if c in claim_list[:i]:
+            raise ValueError(f"repeated claim id {c!r}")
     if not 0 < ratio < math.inf:  # also rejects nan
         raise ValueError(f"ratio must be a positive finite number, got {ratio}")
     m = max(1, round(ratio * n))

@@ -15,11 +15,13 @@ Semantic comparisons always go through the expanded assignment sets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .anf import AnfPoly, bits_of_mask
+from .anf import bits_of_mask
 from .descriptor import Descriptor
 from .errors import EmptySet, TooLarge, VarOutOfRange
 
@@ -41,6 +43,8 @@ class SMatrix:
     def __post_init__(self) -> None:
         if list(self.support) != sorted(set(self.support)):
             raise VarOutOfRange(f"support must be strictly increasing: {self.support}")
+        if self.support and self.support[0] < 1:
+            raise VarOutOfRange(f"variables start at 1: {self.support}")
         for row in self.rows:
             if len(row) != len(self.support):
                 raise VarOutOfRange(f"row {row} does not match support {self.support}")
@@ -154,11 +158,11 @@ class SMatrix:
         lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
         if not lines:
             raise VarOutOfRange("matrix text needs a header line")
-        support = tuple(int(tok.lstrip("xa")) for tok in lines[0].split())
-        rows = tuple(
-            tuple(_CHAR_CELLS[tok] for tok in ln.split()) for ln in lines[1:]
-        )
-        return cls(support, rows)
+        try:
+            support = tuple(int(tok.lstrip("xa")) for tok in lines[0].split())
+        except ValueError:
+            raise VarOutOfRange(f"bad matrix header {lines[0]!r}") from None
+        return cls(support, tuple(_cells(ln.split()) for ln in lines[1:]))
 
     def to_json(self) -> dict:
         return {
@@ -168,10 +172,15 @@ class SMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "SMatrix":
-        return cls(
-            tuple(data["support"]),
-            tuple(tuple(_CHAR_CELLS[ch] for ch in row) for row in data["rows"]),
-        )
+        return cls(tuple(data["support"]), tuple(_cells(row) for row in data["rows"]))
+
+
+def _cells(tokens: Iterable[str]) -> tuple[int, ...]:
+    """Cells of a row written in '0', '1' and '.'; any other token raises VarOutOfRange."""
+    try:
+        return tuple(_CHAR_CELLS[tok] for tok in tokens)
+    except KeyError as exc:
+        raise VarOutOfRange(f"bad cell {exc.args[0]!r}") from None
 
 
 def _split_to_blocks(row: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
@@ -216,41 +225,33 @@ def descriptor_from_smatrix(a: SMatrix) -> Descriptor:
     """Descriptor whose image is exactly the matrix's assignment set.
 
     The descriptor is indexed by the matrix's support positions: column k of
-    the matrix corresponds to variable k of the descriptor.  Splits on the
-    first column at every recursion level.
+    the matrix corresponds to variable k of the descriptor.  The set's prefix
+    tree is walked one level at a time: where both values of x_i continue a
+    node, h_i is a_i there; otherwise h_i is the value that does.
     """
     if a.is_empty:
         raise EmptySet("no descriptor exists for the empty solution set")
-    assignments = sorted(a.assignments())
-    entries = _descriptor_entries(assignments, len(a.support))
-    return Descriptor(n=len(a.support), h=tuple(entries))
-
-
-def _descriptor_entries(
-    assignments: Sequence[tuple[int, ...]], width: int
-) -> list[AnfPoly]:
-    if width == 0:
-        return []
-    zeros = sorted(t[1:] for t in assignments if t[0] == 0)
-    ones = sorted(t[1:] for t in assignments if t[0] == 1)
-    if zeros and ones:
-        f = [_shift_up(p) for p in _descriptor_entries(zeros, width - 1)]
-        g = [_shift_up(p) for p in _descriptor_entries(ones, width - 1)]
-        a1 = AnfPoly.var(1)
-        a1c = a1 + AnfPoly.one()
-        entries = [a1]
-        for fi, gi in zip(f, g):
-            entries.append(a1c * fi + a1 * gi)
-        return entries
-    branch = zeros if zeros else ones
-    head = AnfPoly.zero() if zeros else AnfPoly.one()
-    rest = [_shift_up(p) for p in _descriptor_entries(branch, width - 1)]
-    return [head] + rest
-
-
-def _shift_up(p: AnfPoly) -> AnfPoly:
-    """Rename every variable i to i + 1."""
-    return AnfPoly._wrap(frozenset(m << 1 for m in p.masks))
+    points = sorted(a.assignments())
+    # A node is the range of points that share one prefix x_1..x_i, with the
+    # column of the arguments a_1..a_i that reach it (one bit at the root).
+    nodes = [(0, len(points), 1)]
+    tables = []
+    for i in range(len(a.support)):
+        half = 1 << i
+        table, children = 0, []
+        for lo, hi, reach in nodes:
+            mid = bisect_left(points, 1, lo, hi, key=itemgetter(i))
+            if lo < mid < hi:
+                table |= reach << half
+                children += [(lo, mid, reach), (mid, hi, reach << half)]
+            else:
+                both = reach | reach << half
+                if mid == lo:  # only the value 1 continues
+                    table |= both
+                children.append((lo, hi, both))
+        tables.append(table)
+        nodes = children
+    return Descriptor.from_tables(len(a.support), tables)
 
 
 def image(h: Descriptor, *, limit: int = 25) -> SMatrix:

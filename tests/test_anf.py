@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from anf_sat_lab.cnf import Clause3
 from anf_sat_lab.descriptor import clause_forbidden_monomial
 from anf_sat_lab.errors import UncoveredVariable
 
-from helpers import truth_table
+from helpers import random_poly, truth_table
 
 
 def P(text: str) -> AnfPoly:
@@ -332,3 +333,56 @@ class TestParseRejectsVariableZero:
     def test_variable_one_still_parses(self):
         assert AnfPoly.parse("a1 + x10").masks == {1 << 1, 1 << 10}
         assert IntPoly.parse("2*x1 + a10").coeffs == {1 << 1: 2, 1 << 10: 1}
+
+
+class TestRingsPinned:
+    """Rendering, parsing, evaluation and support of both rings, pinned by one sha256.
+
+    The digest was taken before the two rings shared their parser, renderer
+    and evaluator; error types and messages are part of it.
+    """
+
+    MALFORMED = [
+        "", "+", "a1 +", "a0", "x1*", "2**a1", "a1 a2", "b1", "1 + + a2", "3*a0*a1",
+        "a1*x0", "-1", " 0 ", "0", "00", "2*", "*a1", "a1**a2", "12 a3", "0 + 0",
+        "4*a1 + a1 + 3*a1", "2 + 1",
+    ]
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            value = fn(*args)
+        except Exception as exc:  # the type and message are what is pinned
+            return f"{type(exc).__name__}: {exc}"
+        return value.to_text() if isinstance(value, (AnfPoly, IntPoly)) else repr(value)
+
+    def test_both_rings_pinned(self):
+        rng = random.Random(12)
+        out = self._outcome
+        lines = []
+        texts = list(self.MALFORMED)
+        for _ in range(1500):
+            n = rng.randrange(9)
+            p = random_poly(rng, n, max_terms=8)
+            coeffs = sorted(random_poly(rng, n, max_terms=8).masks)
+            q = IntPoly({m: rng.randrange(-3, 10) for m in coeffs})
+            for poly in (p, q):
+                width = rng.randrange(n + 2)
+                point = [rng.getrandbits(1) for _ in range(width)]
+                lines += [
+                    poly.to_text("a"),
+                    poly.to_text("x"),
+                    repr(poly),
+                    out(poly.eval, point),
+                    repr(poly.max_var()),
+                ]
+            lines += [repr(sorted(p.support())), repr(p.sorted_masks())]
+            for text in (p.to_text(), q.to_text()):
+                cut = rng.randrange(len(text) + 1)
+                texts += [text, text[:cut] + rng.choice("ax*+0 1-z") + text[cut + 1 :]]
+        for text in texts:
+            lines += [out(AnfPoly.parse, text), out(IntPoly.parse, text)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "c29711d91bf3fbe6d929418ba787895c7ede30551b79fdc8a4789c2dac2562b0"
+        )

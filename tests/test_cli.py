@@ -305,6 +305,13 @@ class TestFalsify:
         )
         assert code == 64
 
+    def test_repeated_claim_usage_error(self, capsys):
+        code, out, err = run_main(
+            ["falsify", "--claims", "MERGE_SOUNDNESS,MERGE_SOUNDNESS", "--count", "3", "--n", "7"],
+            capsys,
+        )
+        assert (code, out, err) == (64, "", "repeated claim id 'MERGE_SOUNDNESS'\n")
+
 
 class TestDeterminism:
     def test_byte_identical_runs_and_thread_flag(self, two_cnf, eight_cnf):
@@ -537,7 +544,10 @@ class TestFailureExits:
             ["decide", str(dense), "--k", "2", "--frontier-cap", "1"], capsys
         )
         assert (code, err) == (30, "")
-        assert out.startswith("s UNKNOWN (resource cap)\n")
+        headline, report = out.splitlines()
+        assert headline == "s UNKNOWN (resource cap)"
+        assert json.loads(report)["verdict"] == "UNKNOWN"
+        assert json.loads(report)["capped"] is True
 
     def test_capped_one_sided_build_is_a_cap(self, two_cnf, monkeypatch, capsys):
         import anf_sat_lab.indicator as ind

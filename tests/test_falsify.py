@@ -25,6 +25,10 @@ class TestRegistry:
         with pytest.raises(ValueError):
             falsify(["NO_SUCH_CLAIM"], count=1, n=5, ratio=2.0, seed=0)
 
+    def test_repeated_claim_rejected(self):
+        with pytest.raises(ValueError, match="repeated claim id 'MERGE_SOUNDNESS'"):
+            falsify(["MERGE_SOUNDNESS", "INDICATOR6", "MERGE_SOUNDNESS"], count=3, n=7, ratio=4.26, seed=1)
+
     @pytest.mark.parametrize("ratio", [0, -3, 0.0, float("nan"), float("inf"), -float("inf")])
     def test_ratio_must_be_positive_and_finite(self, ratio):
         with pytest.raises(ValueError, match="ratio must be a positive finite number"):

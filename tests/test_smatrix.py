@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -6,9 +8,10 @@ import pytest
 from anf_sat_lab.cnf import parse_dimacs
 from anf_sat_lab.descriptor import Descriptor, identity_descriptor
 from anf_sat_lab.anf import AnfPoly
-from anf_sat_lab.errors import EmptySet, TooLarge
+from anf_sat_lab.errors import EmptySet, TooLarge, VarOutOfRange
 from anf_sat_lab.oracle import brute_solutions
 from anf_sat_lab.smatrix import NEUTRAL, SMatrix, descriptor_from_smatrix, image
+from anf_sat_lab.solutions import list_solutions
 
 from golden import ONE_CLAUSE, TWO_CLAUSE
 from helpers import descriptor_image_masks, random_smatrix
@@ -203,6 +206,31 @@ class TestDescriptorFromSMatrix:
                 sum(1 << (i + 1) for i, b in enumerate(p) if b) for p in points
             }
 
+    @staticmethod
+    def _grid():
+        """60 seeded matrices per n = 1..9, neutral cells and empty ones included."""
+        for n in range(1, 10):
+            rng = random.Random(n)
+            for _ in range(60):
+                yield random_smatrix(rng, n)
+
+    def test_grid_pinned(self):
+        # sha256 taken before descriptor_from_smatrix moved onto tables
+        digest = hashlib.sha256()
+        for matrix in self._grid():
+            if matrix.is_empty:
+                digest.update(b"empty\n")
+                continue
+            h = descriptor_from_smatrix(matrix)
+            digest.update(json.dumps(h.to_json()).encode() + b"\n")
+        assert digest.hexdigest() == "5bbba4758c8ea4ca17c6b36ecfa4047f534d007f75333ff7b9fef1eeb0d6753c"
+
+    def test_fixed_points_are_the_matrix_set(self):
+        for matrix in self._grid():
+            if not matrix.is_empty:
+                h = descriptor_from_smatrix(matrix)
+                assert list_solutions(h).solutions == tuple(sorted(matrix.assignments()))
+
 
 class TestImage:
     def test_one_clause_image(self):
@@ -229,6 +257,26 @@ class TestTextJson:
     def test_json_roundtrip(self):
         a = SMatrix((2, 3), ((N, 0),))
         assert SMatrix.from_json(a.to_json()) == a
+
+    @pytest.mark.parametrize(
+        "text", ["x1 x2\n0 z\n", "x1 x2\n0 1\n1 2\n", "y1 x2\n0 1\n", "x x2\n", "x-1 x2\n0 1\n", "x0 x1\n"]
+    )
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(VarOutOfRange):
+            SMatrix.parse_text(text)
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"support": [1, 2], "rows": ["0z"]}, {"support": [1, 2], "rows": [[0, 1]]}, {"support": [0, 1], "rows": []}],
+    )
+    def test_malformed_json_rejected(self, data):
+        with pytest.raises(VarOutOfRange):
+            SMatrix.from_json(data)
+
+    @pytest.mark.parametrize("support", [(0, 1), (-2,), (-1, 3)])
+    def test_variables_start_at_one(self, support):
+        with pytest.raises(VarOutOfRange):
+            SMatrix(support, ())
 
 
 def test_image_enumerator_shared_with_falsifier():
