@@ -15,13 +15,15 @@ Semantic comparisons always go through the expanded assignment sets.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .anf import bits_of_mask
+from . import descriptor as _descriptor_mod
+from .anf import AnfPoly, bits_of_mask
 from .descriptor import Descriptor
 from .errors import EmptySet, TooLarge, VarOutOfRange
 
@@ -31,6 +33,7 @@ NEUTRAL = 2
 
 _CELL_CHARS = {0: "0", 1: "1", NEUTRAL: "."}
 _CHAR_CELLS = {"0": 0, "1": 1, ".": NEUTRAL}
+_HEADER_TOKEN = re.compile(r"[xa]?([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,8 @@ class SMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if any(type(v) is not int for v in self.support):
+            raise VarOutOfRange(f"support variables must be integers: {self.support}")
         if list(self.support) != sorted(set(self.support)):
             raise VarOutOfRange(f"support must be strictly increasing: {self.support}")
         if self.support and self.support[0] < 1:
@@ -108,19 +113,12 @@ class SMatrix:
 
     def canonicalize(self) -> "SMatrix":
         """Deterministic normal form; the represented set is unchanged."""
-        blocks: set[tuple[tuple[int, ...], int]] = set()  # (concrete prefix, width)
-        width = len(self.support)
-        for row in self.rows:
-            for block in _split_to_blocks(row):
-                blocks.add(block)
+        prefixes = {p for row in self.rows for p in _concrete_prefixes(row)}
         # Drop blocks contained in a coarser block (their prefix extends it).
-        kept: list[tuple[int, ...]] = []
-        prefixes = {p for p, _ in blocks}
-        for prefix, _ in blocks:
-            if any(prefix[:k] in prefixes for k in range(len(prefix))):
-                continue
-            kept.append(prefix)
-        kept.sort()
+        kept = sorted(
+            p for p in prefixes if not any(p[:k] in prefixes for k in range(len(p)))
+        )
+        width = len(self.support)
         rows = tuple(p + (NEUTRAL,) * (width - len(p)) for p in kept)
         return SMatrix(self.support, rows)
 
@@ -158,10 +156,10 @@ class SMatrix:
         lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
         if not lines:
             raise VarOutOfRange("matrix text needs a header line")
-        try:
-            support = tuple(int(tok.lstrip("xa")) for tok in lines[0].split())
-        except ValueError:
-            raise VarOutOfRange(f"bad matrix header {lines[0]!r}") from None
+        tokens = [_HEADER_TOKEN.fullmatch(tok) for tok in lines[0].split()]
+        if not all(tokens):
+            raise VarOutOfRange(f"bad matrix header {lines[0]!r}")
+        support = tuple(int(tok[1]) for tok in tokens)
         return cls(support, tuple(_cells(ln.split()) for ln in lines[1:]))
 
     def to_json(self) -> dict:
@@ -183,9 +181,8 @@ def _cells(tokens: Iterable[str]) -> tuple[int, ...]:
         raise VarOutOfRange(f"bad cell {exc.args[0]!r}") from None
 
 
-def _split_to_blocks(row: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """Cut a row into (concrete prefix, width) blocks with neutral suffixes."""
-    width = len(row)
+def _concrete_prefixes(row: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Cut a row into blocks with neutral suffixes, each given by its concrete prefix."""
     last_concrete = -1
     for i, c in enumerate(row):
         if c != NEUTRAL:
@@ -196,7 +193,7 @@ def _split_to_blocks(row: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
         cells = list(row[: last_concrete + 1])
         for i, v in zip(interior, values):
             cells[i] = v
-        out.append((tuple(cells), width))
+        out.append(tuple(cells))
     return out
 
 
@@ -227,31 +224,42 @@ def descriptor_from_smatrix(a: SMatrix) -> Descriptor:
     The descriptor is indexed by the matrix's support positions: column k of
     the matrix corresponds to variable k of the descriptor.  The set's prefix
     tree is walked one level at a time: where both values of x_i continue a
-    node, h_i is a_i there; otherwise h_i is the value that does.
+    node, h_i is a_i there; otherwise h_i is the value that does.  Up to the
+    size where builds run on tables the entries are truth tables; above it a
+    table would need 2**n bits, so they are polynomials.
     """
     if a.is_empty:
         raise EmptySet("no descriptor exists for the empty solution set")
+    n = len(a.support)
     points = sorted(a.assignments())
+    on_tables = _descriptor_mod._on_tables(n)
     # A node is the range of points that share one prefix x_1..x_i, with the
-    # column of the arguments a_1..a_i that reach it (one bit at the root).
-    nodes = [(0, len(points), 1)]
-    tables = []
-    for i in range(len(a.support)):
-        half = 1 << i
-        table, children = 0, []
+    # indicator of the arguments a_1..a_i that reach it: a 2**i-bit table, or
+    # the cube over the levels where the path branched.  Indicators of nodes
+    # on one level are disjoint, so + is their union in either form.
+    nodes = [(0, len(points), 1 if on_tables else AnfPoly.one())]
+    entries = []
+    for i in range(n):
+        entry, children = (0 if on_tables else AnfPoly.zero()), []
         for lo, hi, reach in nodes:
+            # reach over a_1..a_{i+1}, split where a_{i+1} is 0 and 1
+            if on_tables:
+                low, rise = reach, reach << (1 << i)
+            else:
+                rise = reach * AnfPoly.var(i + 1)
+                low = reach + rise
             mid = bisect_left(points, 1, lo, hi, key=itemgetter(i))
             if lo < mid < hi:
-                table |= reach << half
-                children += [(lo, mid, reach), (mid, hi, reach << half)]
+                entry += rise
+                children += [(lo, mid, low), (mid, hi, rise)]
             else:
-                both = reach | reach << half
+                reach = low + rise
                 if mid == lo:  # only the value 1 continues
-                    table |= both
-                children.append((lo, hi, both))
-        tables.append(table)
+                    entry += reach
+                children.append((lo, hi, reach))
+        entries.append(entry)
         nodes = children
-    return Descriptor.from_tables(len(a.support), tables)
+    return Descriptor.from_tables(n, entries) if on_tables else Descriptor(n, entries)
 
 
 def image(h: Descriptor, *, limit: int = 25) -> SMatrix:

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from anf_sat_lab import descriptor
 from anf_sat_lab.cnf import parse_dimacs
 from anf_sat_lab.descriptor import Descriptor, identity_descriptor
 from anf_sat_lab.anf import AnfPoly
@@ -214,7 +215,14 @@ class TestDescriptorFromSMatrix:
             for _ in range(60):
                 yield random_smatrix(rng, n)
 
-    def test_grid_pinned(self):
+    @pytest.fixture(params=["tables", "polys"])
+    def gate(self, request, monkeypatch):
+        """Run once on tables and once with the table gate closed (polynomials)."""
+        if request.param == "polys":
+            monkeypatch.setattr(descriptor, "_on_tables", lambda n: False)
+        return request.param
+
+    def test_grid_pinned(self, gate):
         # sha256 taken before descriptor_from_smatrix moved onto tables
         digest = hashlib.sha256()
         for matrix in self._grid():
@@ -225,11 +233,20 @@ class TestDescriptorFromSMatrix:
             digest.update(json.dumps(h.to_json()).encode() + b"\n")
         assert digest.hexdigest() == "5bbba4758c8ea4ca17c6b36ecfa4047f534d007f75333ff7b9fef1eeb0d6753c"
 
-    def test_fixed_points_are_the_matrix_set(self):
+    def test_fixed_points_are_the_matrix_set(self, gate):
         for matrix in self._grid():
             if not matrix.is_empty:
                 h = descriptor_from_smatrix(matrix)
                 assert list_solutions(h).solutions == tuple(sorted(matrix.assignments()))
+
+    def test_wide_sparse_matrix(self):
+        # 40 columns: 2**40-bit tables could not be built, polynomials stay small
+        n = 40
+        points = [tuple(i % 2 for i in range(n)), tuple(i % 3 == 0 for i in range(n))]
+        matrix = SMatrix.from_assignments(tuple(range(1, n + 1)), [tuple(map(int, p)) for p in points])
+        h = descriptor_from_smatrix(matrix)
+        assert not h.on_tables
+        assert list_solutions(h).solutions == tuple(sorted(matrix.assignments()))
 
 
 class TestImage:
@@ -259,7 +276,7 @@ class TestTextJson:
         assert SMatrix.from_json(a.to_json()) == a
 
     @pytest.mark.parametrize(
-        "text", ["x1 x2\n0 z\n", "x1 x2\n0 1\n1 2\n", "y1 x2\n0 1\n", "x x2\n", "x-1 x2\n0 1\n", "x0 x1\n"]
+        "text", ["x1 x2\n0 z\n", "x1 x2\n0 1\n1 2\n", "y1 x2\n0 1\n", "x x2\n", "x-1 x2\n0 1\n", "x0 x1\n", "xa1 x2\n", "ax3\n", "x+2\n", "x1_0\n"]
     )
     def test_malformed_text_rejected(self, text):
         with pytest.raises(VarOutOfRange):
@@ -267,7 +284,8 @@ class TestTextJson:
 
     @pytest.mark.parametrize(
         "data",
-        [{"support": [1, 2], "rows": ["0z"]}, {"support": [1, 2], "rows": [[0, 1]]}, {"support": [0, 1], "rows": []}],
+        [{"support": [1, 2], "rows": ["0z"]}, {"support": [1, 2], "rows": [[0, 1]]}, {"support": [0, 1], "rows": []},
+         {"support": ["1"], "rows": []}, {"support": [1.0], "rows": []}, {"support": [True], "rows": []}],
     )
     def test_malformed_json_rejected(self, data):
         with pytest.raises(VarOutOfRange):
