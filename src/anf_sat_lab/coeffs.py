@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Optional
 
+from . import descriptor as _descriptor_mod
 from .anf import AnfPoly, IntPoly, mask_of_vars, vars_of_mask
 from .cnf import Formula, relabel_by_frequency, sort_clauses
 from .errors import ResourceCap
@@ -53,6 +54,24 @@ def clause_coeffs(g: AnfPoly | IntPoly) -> Dict[int, int]:
     return dict(g.coeffs)
 
 
+class _Memo(dict):
+    """One level's memo; a mask it lacks reads as None, as in a dense view."""
+
+    def __missing__(self, key: int) -> None:
+        return None
+
+
+def _submasks(mask: int, known: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """Every submask of ``mask`` in the order ``mask``, ``(sub - 1) & mask``,
+    ..., 0 (decreasing), memoized in ``known``, which must hold ``{0: (0,)}``."""
+    subs = known.get(mask)
+    if subs is None:
+        top = 1 << (mask.bit_length() - 1)
+        rest = _submasks(mask ^ top, known)
+        subs = known[mask] = tuple([sub | top for sub in rest]) + rest
+    return subs
+
+
 class CoefficientQuery:
     """Memoized backward recursion over a factor list.
 
@@ -72,16 +91,30 @@ class CoefficientQuery:
         self.mode = mode
         self.n = len(factors)
         self.frontier_cap = frontier_cap
-        # _by_top[i][b]: (mask less bit i, coeff) of level-i monomials with bit i == b
+        self._memo: list[_Memo] = [_Memo() for _ in range(self.n + 1)]
+        # _views[i]: (read view of level i, shift from a mask to its key).
+        # Up to the table gate a level is read through a dense list at
+        # index mask >> 1; above it, through its own memo keyed by mask, so
+        # no second copy is held.  Level 0 is 1 on the empty mask only, so
+        # its view is [1].
+        self._views: list[tuple[list | _Memo, int]] = [([1], 1)] + [
+            ([None] * (1 << i), 1) if _descriptor_mod._on_tables(i) else (self._memo[i], 0)
+            for i in range(1, self.n + 1)
+        ]
+        # _by_top[t][b]: level-t monomials with bit t == b, each as (mask less
+        # bit t, coeff, its submasks as keys of level t - 1's view)
         self._by_top: list[tuple[list, list]] = [([], [])]
+        known_subs = {0: (0,)}
         for t, factor in enumerate(factors, start=1):
             cm = clause_coeffs(factor)
             if any(m >> (t + 1) for m in cm):
                 raise ValueError(f"factor {t} uses variables above {t}")
+            shift = self._views[t - 1][1]
             self._by_top.append(([], []))
             for m, c in cm.items():
-                self._by_top[t][(m >> t) & 1].append((m & ~(1 << t), c))
-        self._memo: list[Dict[int, int]] = [dict() for _ in range(self.n + 1)]
+                low = m & ~(1 << t)
+                subs = _submasks(low >> shift, known_subs)
+                self._by_top[t][(m >> t) & 1].append((low, c, subs))
         self.queries = 0
 
     @classmethod
@@ -101,6 +134,8 @@ class CoefficientQuery:
     def coefficient(self, delta_mask: int) -> int:
         """Coefficient of the monomial with variable set ``delta_mask``."""
         self.queries += 1
+        if delta_mask < 0:
+            raise ValueError(f"a mask is a set of variables, got negative {delta_mask}")
         if delta_mask & 1:
             raise ValueError("bit 0 of a mask is unused; variables start at 1")
         # Variables above n can never be produced by factors 1..n.
@@ -116,30 +151,25 @@ class CoefficientQuery:
     def _compute(self, i: int, delta: int) -> int:
         """Level-i coefficient of a mask the memo lacks; recurses only on misses."""
         d_low = delta & ~(1 << i)
+        read, shift = self._views[i - 1]
         total = 0
-        if i == 1:  # level 0 is 1 on the empty mask only, so required must be 0
-            total = sum(c for xi_low, c in self._by_top[1][delta >> 1] if xi_low == d_low)
-        else:
-            get = self._memo[i - 1].get
-            for xi_low, c in self._by_top[i][delta >> i]:
-                if xi_low & ~d_low:
-                    continue  # factor monomial sticks out of the demanded mask
-                required = d_low & ~xi_low  # prefix must supply what the factor lacks
-                free = d_low & xi_low  # overlap positions may come from either side
-                inner = 0
-                sub = free
-                while True:  # all submasks of 'free', including 0
-                    m = required | sub
-                    v = get(m)
-                    inner += self._compute(i - 1, m) if v is None else v
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & free
-                total += c * inner
+        for xi_low, c, subs in self._by_top[i][delta >> i]:
+            if xi_low & ~d_low:
+                continue  # factor monomial sticks out of the demanded mask
+            # the prefix supplies what the factor lacks, plus any part of the
+            # overlap xi_low (the order of 'subs' is the memo's DFS order)
+            required = (d_low & ~xi_low) >> shift
+            inner = 0
+            for sub in subs:
+                v = read[required | sub]
+                inner += self._compute(i - 1, (required | sub) << shift) if v is None else v
+            total += c * inner
         if self.mode == "gf2":
             total &= 1
         memo = self._memo[i]
         memo[delta] = total
+        view, shift = self._views[i]
+        view[delta >> shift] = total
         if len(memo) > self.frontier_cap:
             raise ResourceCap(
                 f"frontier at level {i} holds {len(memo)} masks (cap {self.frontier_cap})",

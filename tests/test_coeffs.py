@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
 import pytest
 
+from anf_sat_lab import descriptor
 from anf_sat_lab.anf import AnfPoly, IntPoly
 from anf_sat_lab.cnf import (
     Formula,
@@ -125,6 +128,12 @@ class TestCoefficientRecursion:
         with pytest.raises(ValueError):
             q.coefficient(0b1)
 
+    @pytest.mark.parametrize("mask", [-2, -1, -(1 << 40)])
+    def test_rejects_negative_mask(self, mask):
+        q = CoefficientQuery(window_factors(5))
+        with pytest.raises(ValueError, match="negative"):
+            q.coefficient(mask)
+
     def test_frontier_cap(self):
         f = random_formula(12, 51, 7)
         fs = factor_sequence(sort_clauses(f))
@@ -162,7 +171,14 @@ class TestReferenceRecursion:
                     out.append((str(exc), exc.where, exc.size))
         return out
 
-    def test_memo_order_counters_and_caps_match_reference(self):
+    @pytest.fixture(params=["dense", "dict"])
+    def gate(self, request, monkeypatch):
+        """Run once with dense list views and once with the table gate closed."""
+        if request.param == "dict":
+            monkeypatch.setattr(descriptor, "_on_tables", lambda n: False)
+        return request.param
+
+    def test_memo_order_counters_and_caps_match_reference(self, gate):
         caps_seen = 0
         for n in range(4, 13):
             for ratio in (2.5, 4.26):
@@ -190,6 +206,27 @@ class TestReferenceRecursion:
                                 ), (where, level)
                             caps_seen += any(isinstance(o, tuple) for o in got)
         assert caps_seen > 0
+
+
+class TestDecidePinned:
+    def test_grid_pinned(self):
+        # sha256 taken before the memo reads became index-addressed views
+        digest = hashlib.sha256()
+        for n in range(4, 15):
+            for seed in (1, 2, 3):
+                f = random_formula(n, round(4.26 * n), seed)
+                for k in range(4):
+                    for mode in ("gf2", "int"):
+                        for cap in (3, 40, DEFAULT_FRONTIER_CAP):
+                            data = decide_sat_bounded(
+                                f, k, mode, frontier_cap=cap
+                            ).to_json()
+                            digest.update(
+                                json.dumps(data, sort_keys=True).encode() + b"\n"
+                            )
+        assert digest.hexdigest() == (
+            "34896a27fd600f1ef23cb8d01e6ab09df54bfbdf567720f4bc8dfb09201487a9"
+        )
 
 
 class TestSweep:
