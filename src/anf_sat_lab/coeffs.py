@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Optional
 
-from . import descriptor as _descriptor_mod
 from .anf import AnfPoly, IntPoly, mask_of_vars, vars_of_mask
 from .cnf import Formula, relabel_by_frequency, sort_clauses
 from .errors import ResourceCap
@@ -46,6 +45,12 @@ MONITORED_CLAIM = "SWEEP_DECIDES"
 
 DEFAULT_FRONTIER_CAP = 1 << 22
 
+# Level i's memo is also kept as a list of 2**(i+1) slots, indexed by mask,
+# once it holds 2**(i - _DENSE_SHARE_LOG) of the level's 2**i masks.  At 8
+# bytes a slot the list then costs at most 64 bytes per memoized mask, 16 on a
+# full level, against 65-80 for a memo entry and its key.
+_DENSE_SHARE_LOG = 2
+
 
 def clause_coeffs(g: AnfPoly | IntPoly) -> Dict[int, int]:
     """Sparse mask -> coefficient map of one factor."""
@@ -55,7 +60,7 @@ def clause_coeffs(g: AnfPoly | IntPoly) -> Dict[int, int]:
 
 
 class _Memo(dict):
-    """One level's memo; a mask it lacks reads as None, as in a dense view."""
+    """One level's memo; a mask it lacks reads as None, so a hit is one subscript."""
 
     def __missing__(self, key: int) -> None:
         return None
@@ -92,29 +97,24 @@ class CoefficientQuery:
         self.n = len(factors)
         self.frontier_cap = frontier_cap
         self._memo: list[_Memo] = [_Memo() for _ in range(self.n + 1)]
-        # _views[i]: (read view of level i, shift from a mask to its key).
-        # Up to the table gate a level is read through a dense list at
-        # index mask >> 1; above it, through its own memo keyed by mask, so
-        # no second copy is held.  Level 0 is 1 on the empty mask only, so
-        # its view is [1].
-        self._views: list[tuple[list | _Memo, int]] = [([1], 1)] + [
-            ([None] * (1 << i), 1) if _descriptor_mod._on_tables(i) else (self._memo[i], 0)
-            for i in range(1, self.n + 1)
-        ]
+        # _reads[i]: how level i + 1 reads level i, by plain subscript at a
+        # mask: the memo, then a list once the memo holds _dense_at[i] masks
+        # (see _compute).  Level 0 is 1 on the empty mask only and is never
+        # memoized, so its view is [1] and frontier_sizes()[0] stays 0.
+        self._reads: list[list | _Memo] = [[1]] + self._memo[1:]
+        self._dense_at = [1 << max(i - _DENSE_SHARE_LOG, 0) for i in range(self.n + 1)]
         # _by_top[t][b]: level-t monomials with bit t == b, each as (mask less
-        # bit t, coeff, its submasks as keys of level t - 1's view)
+        # bit t, coeff, its submasks in the memo's DFS order)
         self._by_top: list[tuple[list, list]] = [([], [])]
         known_subs = {0: (0,)}
         for t, factor in enumerate(factors, start=1):
             cm = clause_coeffs(factor)
             if any(m >> (t + 1) for m in cm):
                 raise ValueError(f"factor {t} uses variables above {t}")
-            shift = self._views[t - 1][1]
             self._by_top.append(([], []))
             for m, c in cm.items():
                 low = m & ~(1 << t)
-                subs = _submasks(low >> shift, known_subs)
-                self._by_top[t][(m >> t) & 1].append((low, c, subs))
+                self._by_top[t][(m >> t) & 1].append((low, c, _submasks(low, known_subs)))
         self.queries = 0
 
     @classmethod
@@ -151,25 +151,31 @@ class CoefficientQuery:
     def _compute(self, i: int, delta: int) -> int:
         """Level-i coefficient of a mask the memo lacks; recurses only on misses."""
         d_low = delta & ~(1 << i)
-        read, shift = self._views[i - 1]
+        read = self._reads[i - 1]
         total = 0
         for xi_low, c, subs in self._by_top[i][delta >> i]:
             if xi_low & ~d_low:
                 continue  # factor monomial sticks out of the demanded mask
             # the prefix supplies what the factor lacks, plus any part of the
             # overlap xi_low (the order of 'subs' is the memo's DFS order)
-            required = (d_low & ~xi_low) >> shift
+            required = d_low & ~xi_low
             inner = 0
             for sub in subs:
                 v = read[required | sub]
-                inner += self._compute(i - 1, (required | sub) << shift) if v is None else v
+                inner += self._compute(i - 1, required | sub) if v is None else v
             total += c * inner
         if self.mode == "gf2":
             total &= 1
         memo = self._memo[i]
         memo[delta] = total
-        view, shift = self._views[i]
-        view[delta >> shift] = total
+        view = self._reads[i]
+        if view is not memo:
+            view[delta] = total
+        elif len(memo) >= self._dense_at[i]:
+            # callers keep reading the memo they hold; it stays complete
+            view = self._reads[i] = [None] * (2 << i)
+            for mask, v in memo.items():
+                view[mask] = v
         if len(memo) > self.frontier_cap:
             raise ResourceCap(
                 f"frontier at level {i} holds {len(memo)} masks (cap {self.frontier_cap})",

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from anf_sat_lab import descriptor
+from anf_sat_lab import coeffs
 from anf_sat_lab.anf import AnfPoly, IntPoly
 from anf_sat_lab.cnf import (
     Formula,
@@ -171,11 +171,13 @@ class TestReferenceRecursion:
                     out.append((str(exc), exc.where, exc.size))
         return out
 
-    @pytest.fixture(params=["dense", "dict"])
+    @pytest.fixture(params=["dense", "dict", "demand"])
     def gate(self, request, monkeypatch):
-        """Run once with dense list views and once with the table gate closed."""
-        if request.param == "dict":
-            monkeypatch.setattr(descriptor, "_on_tables", lambda n: False)
+        """Read every level through a list from its first write, never, or
+        once its memo is dense enough (the default)."""
+        shares = {"dense": 64, "dict": -64}
+        if request.param in shares:
+            monkeypatch.setattr(coeffs, "_DENSE_SHARE_LOG", shares[request.param])
         return request.param
 
     def test_memo_order_counters_and_caps_match_reference(self, gate):
@@ -206,6 +208,27 @@ class TestReferenceRecursion:
                                 ), (where, level)
                             caps_seen += any(isinstance(o, tuple) for o in got)
         assert caps_seen > 0
+
+    @pytest.mark.parametrize("n", [22, 24])
+    def test_wide_levels_read_the_memo_until_dense(self, n):
+        """n clauses over n variables: the memo matches the reference, and
+        after every query exactly the levels whose memo holds a quarter of
+        their 2**i masks are also kept as lists."""
+        fs = factor_sequence(sort_clauses(relabel_by_frequency(random_formula(n, n, 1))[0]))
+        q = CoefficientQuery(fs.g_list())
+        ref = ReferenceCoefficientQuery(fs.g_list(), frontier_cap=DEFAULT_FRONTIER_CAP)
+        levels = range(1, n + 1)
+        for zeros in range(3):
+            for positions in combinations(range(1, n + 1), zeros):
+                mask = full_mask(n) & ~sum(1 << v for v in positions)
+                assert q.coefficient(mask) == ref.coefficient(mask)
+                listed = [q._reads[i] is not q._memo[i] for i in levels]
+                assert listed == [
+                    len(q._memo[i]) << coeffs._DENSE_SHARE_LOG >= 1 << i for i in levels
+                ], mask
+        for level in range(n + 1):
+            assert list(q._memo[level].items()) == list(ref._memo[level].items())
+        assert 0 < sum(listed) < n
 
 
 class TestDecidePinned:
