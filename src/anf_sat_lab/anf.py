@@ -22,8 +22,10 @@ from .errors import UncoveredVariable
 __all__ = [
     "AnfPoly",
     "IntPoly",
+    "ring",
     "cube",
     "mask_of_vars",
+    "mask_of_bits",
     "vars_of_mask",
     "bits_of_mask",
     "var_columns",
@@ -44,6 +46,11 @@ def mask_of_vars(vars_: Iterable[int]) -> int:
     return m
 
 
+def mask_of_bits(bits: Iterable[object]) -> int:
+    """Bitmask of a bit vector (position i-1 = variable i); truthy entries are set."""
+    return mask_of_vars(i for i, b in enumerate(bits, 1) if b)
+
+
 def vars_of_mask(mask: int) -> tuple[int, ...]:
     """Sorted variable indices of a monomial bitmask."""
     out = []
@@ -60,7 +67,7 @@ def vars_of_mask(mask: int) -> tuple[int, ...]:
 def bits_of_mask(mask: int, n: int) -> tuple[int, ...]:
     """Bit vector of a bitmask over variables 1..n (position i-1 = variable i).
 
-    Inverse of ``mask_of_vars(i for i, b in enumerate(bits, 1) if b)``.
+    Inverse of ``mask_of_bits``.
     """
     return tuple((mask >> i) & 1 for i in range(1, n + 1))
 
@@ -109,7 +116,7 @@ def _assignment_mask(top: int, assignment: Sequence[int]) -> int:
         raise UncoveredVariable(
             f"assignment of length {len(assignment)} does not cover variable {top}"
         )
-    return mask_of_vars(i for i, b in enumerate(assignment, 1) if b)
+    return mask_of_bits(assignment)
 
 
 class AnfPoly:
@@ -152,6 +159,11 @@ class AnfPoly:
     def from_terms(cls, terms: Iterable[Iterable[int]]) -> "AnfPoly":
         """Build from an iterable of variable-index lists, e.g. [[1,3],[]] = a1*a3 + 1."""
         return cls(mask_of_vars(t) for t in terms)
+
+    @classmethod
+    def coerce(cls, p: "AnfPoly | IntPoly") -> "AnfPoly":
+        """``p`` itself, or an IntPoly reduced mod 2."""
+        return p if isinstance(p, AnfPoly) else p.reduce_mod2()
 
     @classmethod
     def parse(cls, text: str) -> "AnfPoly":
@@ -358,6 +370,11 @@ class IntPoly:
         return cls({m: 1 for m in p.masks})
 
     @classmethod
+    def coerce(cls, p: "AnfPoly | IntPoly") -> "IntPoly":
+        """``p`` itself, or an AnfPoly lifted to integer coefficients."""
+        return p if isinstance(p, IntPoly) else cls.lift(p)
+
+    @classmethod
     def parse(cls, text: str) -> "IntPoly":
         coeffs: Dict[int, int] = {}
         for term in text.split("+"):
@@ -432,6 +449,15 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({self.to_text()})"
+
+
+def ring(mode: str) -> type[AnfPoly] | type[IntPoly]:
+    """The polynomial ring a mode names: ``"gf2"`` is AnfPoly, ``"int"`` IntPoly."""
+    if mode == "gf2":
+        return AnfPoly
+    if mode == "int":
+        return IntPoly
+    raise ValueError(f"mode must be 'gf2' or 'int', got {mode!r}")
 
 
 # Truth-column kernel (shared by polynomials, merges and the brute-force oracles).

@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .anf import AnfPoly, bits_of_mask, mask_of_vars
+from .anf import AnfPoly, bits_of_mask, mask_of_bits
 from .cnf import Formula, parse_dimacs, formula_to_json, sort_clauses, to_dimacs
 from .coeffs import DEFAULT_FRONTIER_CAP, CoefficientQuery, decide_sat_bounded
 from .descriptor import DEFAULT_LEN_CAP, Descriptor, build, profile_csv
@@ -154,7 +154,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         tuple(
             sol
             for sol in points.solutions
-            if f.eval_mask(mask_of_vars(i for i, b in enumerate(sol, 1) if b))
+            if f.eval_mask(mask_of_bits(sol))
         ),
         points.truncated,
     )
@@ -204,7 +204,7 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
                 f"--delta needs {f.n} comma-separated 0/1 entries or 'top'\n"
             )
             return EXIT_USAGE
-        mask = mask_of_vars(i for i, b in enumerate(bits, 1) if b == "1")
+        mask = mask_of_bits(b == "1" for b in bits)
     fs = factor_sequence(sort_clauses(f))
     query = CoefficientQuery.from_factor_sequence(
         fs, args.mode, frontier_cap=args.frontier_cap

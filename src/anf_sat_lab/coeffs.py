@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Optional
 
-from .anf import AnfPoly, IntPoly, mask_of_vars, vars_of_mask
+from .anf import AnfPoly, IntPoly, mask_of_vars, ring, vars_of_mask
 from .cnf import Formula, relabel_by_frequency, sort_clauses
 from .errors import ResourceCap
 from .indicator import FactorSequence, factor_sequence
@@ -54,9 +54,7 @@ _DENSE_SHARE_LOG = 2
 
 def clause_coeffs(g: AnfPoly | IntPoly) -> Dict[int, int]:
     """Sparse mask -> coefficient map of one factor."""
-    if isinstance(g, AnfPoly):
-        return {m: 1 for m in g.masks}
-    return dict(g.coeffs)
+    return IntPoly.coerce(g).coeffs
 
 
 class _Memo(dict):
@@ -91,16 +89,15 @@ class CoefficientQuery:
         *,
         frontier_cap: int = DEFAULT_FRONTIER_CAP,
     ):
-        if mode not in ("gf2", "int"):
-            raise ValueError(f"mode must be 'gf2' or 'int', got {mode!r}")
+        ring(mode)  # rejects an unknown mode
         self.mode = mode
         self.n = len(factors)
         self.frontier_cap = frontier_cap
         self._memo: list[_Memo] = [_Memo() for _ in range(self.n + 1)]
-        # _reads[i]: how level i + 1 reads level i, by plain subscript at a
-        # mask: the memo, then a list once the memo holds _dense_at[i] masks
-        # (see _compute).  Level 0 is 1 on the empty mask only and is never
-        # memoized, so its view is [1] and frontier_sizes()[0] stays 0.
+        # _reads[i]: level i as read by plain subscript at a mask (by level
+        # i + 1, and by coefficient at i = n): the memo, then a list once the
+        # memo holds _dense_at[i] masks (see _compute).  Level 0 is [1], 1 on
+        # the empty mask only; it is never memoized (frontier_sizes()[0] = 0).
         self._reads: list[list | _Memo] = [[1]] + self._memo[1:]
         self._dense_at = [1 << max(i - _DENSE_SHARE_LOG, 0) for i in range(self.n + 1)]
         # _by_top[t][b]: level-t monomials with bit t == b, each as (mask less
@@ -125,11 +122,12 @@ class CoefficientQuery:
         *,
         frontier_cap: int = DEFAULT_FRONTIER_CAP,
     ) -> "CoefficientQuery":
-        if mode == "gf2":
-            return cls(fs.g_list(), "gf2", frontier_cap=frontier_cap)
-        return cls(
-            [fs.g_int(t) for t in range(1, fs.n + 1)], "int", frontier_cap=frontier_cap
-        )
+        r = ring(mode)
+        factors = [
+            r.coerce(fs.factor_plus(t)) * r.coerce(fs.factor_minus(t))
+            for t in range(1, fs.n + 1)
+        ]
+        return cls(factors, mode, frontier_cap=frontier_cap)
 
     def coefficient(self, delta_mask: int) -> int:
         """Coefficient of the monomial with variable set ``delta_mask``."""
@@ -141,9 +139,7 @@ class CoefficientQuery:
         # Variables above n can never be produced by factors 1..n.
         if delta_mask >> (self.n + 1):
             return 0
-        if self.n == 0:
-            return 1 if delta_mask == 0 else 0
-        cached = self._memo[self.n].get(delta_mask)
+        cached = self._reads[self.n][delta_mask]
         if cached is not None:
             return cached
         return self._compute(self.n, delta_mask)

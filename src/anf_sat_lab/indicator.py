@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, TypeVar
 
-from .anf import AnfPoly, IntPoly, cube
+from .anf import AnfPoly, IntPoly, cube, ring
 from .cnf import Formula, SortedFormula, split_plus_minus
 from .descriptor import Descriptor, build, clause_forbidden_monomial
 from .errors import Property2Violation, ResourceCap
@@ -156,18 +156,10 @@ def indicator_from_clauses(
     f: Formula, mode: str = "gf2", *, cap: int = DEFAULT_TERM_CAP
 ) -> AnfPoly | IntPoly:
     """Expand the product over clauses of (forbidden-cube indicator + 1)."""
-    if mode == "gf2":
-        factors = [
-            clause_forbidden_monomial(cl) + AnfPoly.one() for cl in f.clauses
-        ]
-        return product_with_cap(factors, cap)
-    if mode == "int":
-        int_factors = [
-            IntPoly.lift(clause_forbidden_monomial(cl)) + IntPoly.one()
-            for cl in f.clauses
-        ]
-        return product_with_cap(int_factors, cap, IntPoly.one())
-    raise ValueError(f"mode must be 'gf2' or 'int', got {mode!r}")
+    r = ring(mode)
+    # coerce before adding 1: mod 2 it cancels a constant the integer factor keeps
+    factors = [r.coerce(clause_forbidden_monomial(cl)) + r.one() for cl in f.clauses]
+    return product_with_cap(factors, cap, r.one())
 
 
 def indicator_from_solutions(s: SolutionSet) -> AnfPoly:
@@ -182,10 +174,5 @@ def indicator_from_factors(
     fs: FactorSequence, mode: str = "gf2", *, cap: int = DEFAULT_TERM_CAP
 ) -> AnfPoly | IntPoly:
     """Expand the product of all 2n one-sided factors."""
-    if mode == "gf2":
-        return product_with_cap(fs.all_factors(), cap)
-    if mode == "int":
-        return product_with_cap(
-            [IntPoly.lift(p) for p in fs.all_factors()], cap, IntPoly.one()
-        )
-    raise ValueError(f"mode must be 'gf2' or 'int', got {mode!r}")
+    r = ring(mode)
+    return product_with_cap([r.coerce(p) for p in fs.all_factors()], cap, r.one())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .anf import AnfPoly, IntPoly, all_ones_column, moebius, set_bits, var_columns
+from .anf import AnfPoly, IntPoly, all_ones_column, moebius, ring, set_bits, var_columns
 from .cnf import Clause3, Formula
 from .errors import GenerationError, TooLarge
 from .solutions import SolutionSet
@@ -100,19 +100,11 @@ def expand_product(
     max_var = max((p.max_var() for p in factors), default=0)
     if max_var > limit:
         raise TooLarge(f"expansion over {max_var} > {limit} variables")
-    if mode == "gf2":
-        acc: AnfPoly | IntPoly = AnfPoly.one()
-        for p in factors:
-            q = p if isinstance(p, AnfPoly) else p.reduce_mod2()
-            acc = acc * q
-        return acc
-    if mode == "int":
-        acc = IntPoly.one()
-        for p in factors:
-            q = p if isinstance(p, IntPoly) else IntPoly.lift(p)
-            acc = acc * q
-        return acc
-    raise ValueError(f"mode must be 'gf2' or 'int', got {mode!r}")
+    r = ring(mode)
+    acc = r.one()
+    for p in factors:
+        acc = acc * r.coerce(p)
+    return acc
 
 
 def anf_from_truth_column(column: int, n: int) -> AnfPoly:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .anf import AnfPoly, bits_of_mask, mask_of_vars
+from .anf import AnfPoly, bits_of_mask, mask_of_bits
 from .descriptor import Descriptor
 from .errors import InvariantViolation
 
@@ -32,9 +32,7 @@ class SolutionSet:
 
     def masks(self) -> frozenset[int]:
         """Solutions as bitmasks (bit i = variable i)."""
-        return frozenset(
-            mask_of_vars(i for i, b in enumerate(sol, 1) if b) for sol in self.solutions
-        )
+        return frozenset(mask_of_bits(sol) for sol in self.solutions)
 
     def to_dimacs_v_lines(self) -> str:
         lines = []

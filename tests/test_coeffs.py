@@ -22,7 +22,11 @@ from anf_sat_lab.coeffs import (
     sweep,
 )
 from anf_sat_lab.errors import ResourceCap
-from anf_sat_lab.indicator import factor_sequence
+from anf_sat_lab.indicator import (
+    factor_sequence,
+    indicator_from_clauses,
+    indicator_from_factors,
+)
 from anf_sat_lab.oracle import brute_count, expand_product, random_formula
 
 from golden import (
@@ -377,3 +381,30 @@ class TestDecide:
         assert data["verdict"] == "UNSAT-under-assumption"
         assert data["witness"] is None
         assert "queries" in data["work"]
+
+
+# Each entry point that takes a mode, called on (formula, factor sequence, mode).
+MODE_ENTRY_POINTS = {
+    "CoefficientQuery": lambda f, fs, mode: CoefficientQuery(fs.g_list(), mode),
+    "from_factor_sequence": lambda f, fs, mode: CoefficientQuery.from_factor_sequence(
+        fs, mode
+    ),
+    "coefficient": lambda f, fs, mode: coefficient(fs, full_mask(fs.n), mode),
+    "sweep": lambda f, fs, mode: sweep(fs, 1, mode),
+    "decide_sat_bounded": lambda f, fs, mode: decide_sat_bounded(f, 1, mode),
+    "indicator_from_clauses": lambda f, fs, mode: indicator_from_clauses(f, mode),
+    "indicator_from_factors": lambda f, fs, mode: indicator_from_factors(fs, mode),
+    "expand_product": lambda f, fs, mode: expand_product(fs.g_list(), mode),
+}
+
+
+class TestUnknownMode:
+    # A list is unhashable, so a mode looked up in a dict would raise TypeError.
+    @pytest.mark.parametrize("mode", ["bogus", "GF2", ["gf2"]], ids=repr)
+    @pytest.mark.parametrize("entry", sorted(MODE_ENTRY_POINTS))
+    def test_every_entry_point_raises_the_same_error(self, entry, mode):
+        f = random_formula(5, 12, 1)
+        fs = factor_sequence(sort_clauses(f))
+        with pytest.raises(ValueError) as excinfo:
+            MODE_ENTRY_POINTS[entry](f, fs, mode)
+        assert str(excinfo.value) == f"mode must be 'gf2' or 'int', got {mode!r}"
