@@ -22,6 +22,7 @@ from .errors import UncoveredVariable
 __all__ = [
     "AnfPoly",
     "IntPoly",
+    "MODES",
     "ring",
     "cube",
     "mask_of_vars",
@@ -53,15 +54,7 @@ def mask_of_bits(bits: Iterable[object]) -> int:
 
 def vars_of_mask(mask: int) -> tuple[int, ...]:
     """Sorted variable indices of a monomial bitmask."""
-    out = []
-    v = 1
-    m = mask >> 1
-    while m:
-        if m & 1:
-            out.append(v)
-        v += 1
-        m >>= 1
-    return tuple(out)
+    return tuple(set_bits(mask & ~1))
 
 
 def bits_of_mask(mask: int, n: int) -> tuple[int, ...]:
@@ -296,6 +289,14 @@ class AnfPoly:
             )
         return moebius(self.coefficient_column(), n)
 
+    @classmethod
+    def from_truth_column(cls, column: int, n: int) -> "AnfPoly":
+        """Inverse of ``truth_column``: the unique polynomial over 1..n with this table.
+
+        Bits of ``column`` above 2**n are ignored.
+        """
+        return cls.from_coefficient_column(moebius(column & all_ones_column(n), n))
+
     def coefficient_column(self) -> int:
         """Coefficient vector packed into an int: monomial ``m`` sets bit ``m >> 1``."""
         acc = 0
@@ -451,13 +452,16 @@ class IntPoly:
         return f"IntPoly({self.to_text()})"
 
 
+# The mode names, in the order of the rings ``ring`` returns for them.
+MODES = ("gf2", "int")
+
+
 def ring(mode: str) -> type[AnfPoly] | type[IntPoly]:
     """The polynomial ring a mode names: ``"gf2"`` is AnfPoly, ``"int"`` IntPoly."""
-    if mode == "gf2":
-        return AnfPoly
-    if mode == "int":
-        return IntPoly
-    raise ValueError(f"mode must be 'gf2' or 'int', got {mode!r}")
+    # ``in`` compares with ==, so an unhashable mode gets this ValueError too
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
+    return (AnfPoly, IntPoly)[MODES.index(mode)]
 
 
 # Truth-column kernel (shared by polynomials, merges and the brute-force oracles).

@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .anf import AnfPoly, bits_of_mask, mask_of_bits
+from .anf import MODES, AnfPoly, bits_of_mask, mask_of_bits
 from .cnf import Formula, parse_dimacs, formula_to_json, sort_clauses, to_dimacs
 from .coeffs import DEFAULT_FRONTIER_CAP, CoefficientQuery, decide_sat_bounded
 from .descriptor import DEFAULT_LEN_CAP, Descriptor, build, profile_csv
@@ -310,7 +310,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("indicator", help="expand an indicator polynomial")
     add_common(p)
-    p.add_argument("--mode", choices=("gf2", "int"), default="gf2")
+    p.add_argument("--mode", choices=MODES, default="gf2")
     p.add_argument("--form", choices=("clauses", "descriptor", "factors"), default="clauses", help="'descriptor' expands the indicator of the descriptor's fixed points, a superset of the solutions (GF(2) only)")
     p.add_argument(
         "--cap",
@@ -325,14 +325,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("coeff", help="query one product coefficient")
     add_common(p)
     p.add_argument("--delta", default="top", help="comma-separated 0/1 vector or 'top'")
-    p.add_argument("--mode", choices=("gf2", "int"), default="gf2")
+    p.add_argument("--mode", choices=MODES, default="gf2")
     p.add_argument("--frontier-cap", type=_positive_int, default=DEFAULT_FRONTIER_CAP)
     p.set_defaults(func=_cmd_coeff)
 
     p = sub.add_parser("decide", help="bounded-solution satisfiability verdict")
     add_common(p)
     p.add_argument("--k", type=_nonnegative_int, required=True, help="assume #solutions <= 2^k")
-    p.add_argument("--mode", choices=("gf2", "int"), default="gf2")
+    p.add_argument("--mode", choices=MODES, default="gf2")
     p.add_argument("--frontier-cap", type=_positive_int, default=DEFAULT_FRONTIER_CAP)
     p.set_defaults(func=_cmd_decide)
 

@@ -97,12 +97,6 @@ class Clause3:
         """The unique non-satisfying values for (x_r, x_s, x_t)."""
         return tuple(1 if l.negated else 0 for l in self.lits)  # type: ignore[return-value]
 
-    def satisfied_by_mask(self, assignment: int) -> bool:
-        for l in self.lits:
-            if ((assignment >> l.var) & 1) == (0 if l.negated else 1):
-                return True  # a literal is true
-        return False
-
 
 @dataclass(frozen=True)
 class Formula:
@@ -248,16 +242,6 @@ class StaticSets:
     v: tuple[frozenset[int], ...] = field(repr=False)
     m_plus: tuple[int, ...]
     m_minus: tuple[int, ...]
-
-    def cl_of(self, t: int) -> frozenset[int]:
-        return self.cl[t]
-
-    def v_of(self, t: int) -> frozenset[int]:
-        return self.v[t]
-
-    def v_up_to(self, t: int, i: int) -> frozenset[int]:
-        """V(x_t) restricted to indices <= i."""
-        return frozenset(x for x in self.v[t] if x <= i)
 
 
 def static_sets(f: SortedFormula) -> StaticSets:

@@ -36,7 +36,6 @@ __all__ = [
     "SweepVerdict",
     "DecisionResult",
     "clause_coeffs",
-    "coefficient",
     "sweep",
     "decide_sat_bounded",
 ]
@@ -122,11 +121,7 @@ class CoefficientQuery:
         *,
         frontier_cap: int = DEFAULT_FRONTIER_CAP,
     ) -> "CoefficientQuery":
-        r = ring(mode)
-        factors = [
-            r.coerce(fs.factor_plus(t)) * r.coerce(fs.factor_minus(t))
-            for t in range(1, fs.n + 1)
-        ]
+        factors = [fs.g(t, mode) for t in range(1, fs.n + 1)]
         return cls(factors, mode, frontier_cap=frontier_cap)
 
     def coefficient(self, delta_mask: int) -> int:
@@ -186,18 +181,6 @@ class CoefficientQuery:
 
     def max_frontier(self) -> int:
         return max(self.frontier_sizes())
-
-
-def coefficient(
-    fs: FactorSequence,
-    delta_mask: int,
-    mode: str = "gf2",
-    *,
-    frontier_cap: int = DEFAULT_FRONTIER_CAP,
-) -> int:
-    """One-shot coefficient of ``delta_mask`` in the factor-sequence product."""
-    q = CoefficientQuery.from_factor_sequence(fs, mode, frontier_cap=frontier_cap)
-    return q.coefficient(delta_mask)
 
 
 @dataclass(frozen=True)

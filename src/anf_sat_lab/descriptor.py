@@ -105,7 +105,7 @@ class Descriptor:
             if table == var_columns(i)[i]:
                 poly = AnfPoly.var(i)
             else:
-                poly = AnfPoly.from_coefficient_column(moebius(table, i))
+                poly = AnfPoly.from_truth_column(table, i)
             self._polys[i - 1] = poly
         return poly
 
@@ -129,17 +129,6 @@ class Descriptor:
         if self.on_tables:
             return self.tables[i - 1] == var_columns(i)[i]
         return self.entry(i) == AnfPoly.var(i)
-
-    def is_identity(self) -> bool:
-        return all(self.is_var(i) for i in range(1, self.n + 1))
-
-    def apply_mask(self, alpha: int) -> int:
-        """Image of an assignment bitmask under the descriptor."""
-        out = 0
-        for i, poly in enumerate(self.h, start=1):
-            if poly.eval_mask(alpha):
-                out |= 1 << i
-        return out
 
     def image_indices(self) -> set[int]:
         """Image {H(alpha)} as assignment indices (variable i is bit i - 1)."""
@@ -294,10 +283,10 @@ class MergeTrace:
 
     @cached_property
     def _w_stars(self) -> dict[int, frozenset[int]]:
-        acc = {t: set(self._sets.v_of(t)) for t in range(1, self.n + 1)}
+        acc = {t: set(self._sets.v[t]) for t in range(1, self.n + 1)}
         for u, preds in self._preds.items():
             for t in preds:
-                acc[t] |= self._sets.v_of(u)
+                acc[t] |= self._sets.v[u]
         return {t: frozenset(w) for t, w in acc.items()}
 
     def w_star(self, t: int) -> frozenset[int]:
@@ -622,7 +611,7 @@ def profile_csv(trace: MergeTrace) -> str:
         sets = trace._sets
         for t in range(1, trace.n + 1):
             p = ";".join(str(j) for j in sorted(trace.predecessors(t)))
-            v = ";".join(str(j) for j in sorted(sets.v_of(t)))
+            v = ";".join(str(j) for j in sorted(sets.v[t]))
             ws = ";".join(str(j) for j in sorted(trace.w_star(t)))
             w = ";".join(str(j) for j in sorted(trace.w(t)))
             lines.append(f"{t},{p},{v},{ws},{w}")

@@ -61,11 +61,10 @@ class FactorSequence:
     def factor_minus(self, t: int) -> AnfPoly:
         return self.h_minus[t - 1] + AnfPoly.var(t) + AnfPoly.one()
 
-    def g(self, t: int) -> AnfPoly:
-        return self.factor_plus(t) * self.factor_minus(t)
-
-    def g_int(self, t: int) -> IntPoly:
-        return IntPoly.lift(self.factor_plus(t)) * IntPoly.lift(self.factor_minus(t))
+    def g(self, t: int, mode: str = "gf2") -> AnfPoly | IntPoly:
+        """The product g_t of the factor pair, in the ring ``anf.ring(mode)``."""
+        r = ring(mode)
+        return r.coerce(self.factor_plus(t)) * r.coerce(self.factor_minus(t))
 
     def all_factors(self) -> list[AnfPoly]:
         out = []
@@ -73,9 +72,6 @@ class FactorSequence:
             out.append(self.factor_plus(t))
             out.append(self.factor_minus(t))
         return out
-
-    def g_list(self) -> list[AnfPoly]:
-        return [self.g(t) for t in range(1, self.n + 1)]
 
 
 def factor_sequence(f: SortedFormula) -> FactorSequence:

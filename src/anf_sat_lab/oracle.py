@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .anf import AnfPoly, IntPoly, all_ones_column, moebius, ring, set_bits, var_columns
+from .anf import AnfPoly, IntPoly, all_ones_column, ring, set_bits, var_columns
 from .cnf import Clause3, Formula
 from .errors import GenerationError, TooLarge
 from .solutions import SolutionSet
@@ -25,7 +25,6 @@ __all__ = [
     "brute_solutions_slow",
     "brute_count",
     "expand_product",
-    "anf_from_truth_column",
     "random_formula",
 ]
 
@@ -91,29 +90,17 @@ def brute_count(f: Formula) -> int:
 
 
 def expand_product(
-    factors: Sequence[AnfPoly] | Sequence[IntPoly],
-    mode: str = "gf2",
-    *,
-    limit: int = EXPAND_LIMIT,
+    factors: Sequence[AnfPoly] | Sequence[IntPoly], mode: str = "gf2"
 ) -> AnfPoly | IntPoly:
     """Full multiplication of a factor list; the slow reference path."""
     max_var = max((p.max_var() for p in factors), default=0)
-    if max_var > limit:
-        raise TooLarge(f"expansion over {max_var} > {limit} variables")
+    if max_var > EXPAND_LIMIT:
+        raise TooLarge(f"expansion over {max_var} > {EXPAND_LIMIT} variables")
     r = ring(mode)
     acc = r.one()
     for p in factors:
         acc = acc * r.coerce(p)
     return acc
-
-
-def anf_from_truth_column(column: int, n: int) -> AnfPoly:
-    """Unique multilinear GF(2) polynomial with the given truth table.
-
-    Moebius transform over the subset lattice; used as a test oracle.
-    Bits of ``column`` above 2**n are ignored.
-    """
-    return AnfPoly.from_coefficient_column(moebius(column & all_ones_column(n), n))
 
 
 def random_formula(n: int, m: int, seed: int) -> Formula:

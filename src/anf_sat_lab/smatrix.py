@@ -26,6 +26,7 @@ from . import descriptor as _descriptor_mod
 from .anf import AnfPoly, bits_of_mask
 from .descriptor import Descriptor
 from .errors import EmptySet, TooLarge, VarOutOfRange
+from .oracle import BRUTE_LIMIT
 
 __all__ = ["NEUTRAL", "SMatrix", "descriptor_from_smatrix", "image"]
 
@@ -262,10 +263,10 @@ def descriptor_from_smatrix(a: SMatrix) -> Descriptor:
     return Descriptor.from_tables(n, entries) if on_tables else Descriptor(n, entries)
 
 
-def image(h: Descriptor, *, limit: int = 25) -> SMatrix:
+def image(h: Descriptor) -> SMatrix:
     """Exhaustive image {H(alpha)} as a concrete matrix over variables 1..n."""
-    if h.n > limit:
-        raise TooLarge(f"image enumeration over {h.n} > {limit} variables")
+    if h.n > BRUTE_LIMIT:
+        raise TooLarge(f"image enumeration over {h.n} > {BRUTE_LIMIT} variables")
     return SMatrix.from_assignments(
         tuple(range(1, h.n + 1)),
         (bits_of_mask(x << 1, h.n) for x in h.image_indices()),

@@ -43,11 +43,20 @@ def cnf_truth_table(f: Formula) -> tuple[int, ...]:
     return tuple(out)
 
 
+def apply_mask(h: Descriptor, alpha: int) -> int:
+    """Image of an assignment bitmask under the descriptor, entry by entry."""
+    out = 0
+    for i, poly in enumerate(h.h, start=1):
+        if poly.eval_mask(alpha):
+            out |= 1 << i
+    return out
+
+
 def descriptor_image_masks(h: Descriptor) -> frozenset[int]:
     """Exhaustive image of a descriptor as assignment masks."""
     seen = set()
     for bits in product((0, 1), repeat=h.n):
-        seen.add(h.apply_mask(mask_from_bits(bits)))
+        seen.add(apply_mask(h, mask_from_bits(bits)))
     return frozenset(seen)
 
 
@@ -55,7 +64,7 @@ def descriptor_fixed_points(h: Descriptor) -> frozenset[int]:
     out = set()
     for bits in product((0, 1), repeat=h.n):
         mask = mask_from_bits(bits)
-        if h.apply_mask(mask) == mask:
+        if apply_mask(h, mask) == mask:
             out.add(mask)
     return frozenset(out)
 

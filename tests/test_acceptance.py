@@ -254,8 +254,8 @@ def test_criterion_4_unconditional_oracle_identities():
             n = 5 + (index % 5)
             f = random_formula(n, round(4.26 * n), 20_000 + index)
             fs = factor_sequence(sort_clauses(f))
-            gf2 = expand_product(fs.g_list(), "gf2")
-            integer = expand_product([fs.g_int(t) for t in range(1, n + 1)], "int")
+            gf2 = expand_product([fs.g(t) for t in range(1, n + 1)], "gf2")
+            integer = expand_product([fs.g(t, "int") for t in range(1, n + 1)], "int")
             q_gf2 = CoefficientQuery.from_factor_sequence(fs, "gf2")
             q_int = CoefficientQuery.from_factor_sequence(fs, "int")
             for low in range(1 << n):
@@ -270,7 +270,7 @@ def test_criterion_4_unconditional_oracle_identities():
         for n in (12, 13, 14):
             f = random_formula(n, round(4.26 * n), 30_000 + n)
             fs = factor_sequence(sort_clauses(f))
-            gf2 = expand_product(fs.g_list(), "gf2")
+            gf2 = expand_product([fs.g(t) for t in range(1, n + 1)], "gf2")
             q_gf2 = CoefficientQuery.from_factor_sequence(fs, "gf2")
             for low in range(1 << n):
                 mask = low << 1

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -573,6 +574,12 @@ class TestFailureExits:
         assert data["skipped"] == 4
         assert data["skipped_by_cause"] == {"ResourceCap": 2, "TooLarge": 2}
 
+    def test_every_claim_skips_above_the_oracle_bound(self, capsys):
+        # INDICATOR6 used to build 2**n-bit tables before asking the oracle
+        code, out, err = run_main(["falsify", "--count", "1", "--n", "200", "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["skipped_by_cause"] == {"ResourceCap": 0, "TooLarge": 3}
+
 
 class TestFlagsBeforeWork:
     def test_descriptor_form_rejects_int_mode(self, wide_cnf, eight_cnf, monkeypatch, capsys):
@@ -643,11 +650,76 @@ class TestExitCodeDocs:
         assert codes == self._constants()
 
     def test_readme_lists_every_code(self):
-        import pathlib
-        import re
+        assert readme_exit_codes() == self._constants()
 
-        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-        text = readme.read_text(encoding="utf-8")
-        table = text[text.index("| exit code |") :].split("\n\n", 1)[0]
-        codes = {int(c) for c in re.findall(r"^\| `(\d+)` \|", table, re.M)}
-        assert codes == self._constants()
+
+def readme_exit_codes():
+    """The codes in README's exit-code table."""
+    import pathlib
+    import re
+
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text[text.index("| exit code |") :].split("\n\n", 1)[0]
+    return {int(c) for c in re.findall(r"^\| `(\d+)` \|", table, re.M)}
+
+
+def value_flags():
+    """(subcommand, its parser, action) for every flag that takes a value;
+    the subcommand is None for the top-level flags."""
+    from anf_sat_lab import cli
+
+    parser = cli._build_parser()
+    parsers = [(None, parser)]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.items()
+    for name, p in parsers:
+        for action in p._actions:
+            if action.option_strings and action.nargs != 0:
+                yield name, p, action
+
+
+class TestFailureContract:
+    """Every flag of every subcommand, fed values it may reject: the exit code
+    is in README's table, stderr has no traceback, and a run that reports an
+    error writes nothing to stdout."""
+
+    PATH_FLAGS = {"--output", "--trace", "--report-dir"}
+    # Small runs for the flags a subcommand needs; a case's own flag comes last and wins.
+    BASE = {"decide": ["--k", "1"], "falsify": ["--count", "1", "--n", "5"]}
+
+    def test_bad_values(self, two_cnf, tmp_path, capsys):
+        from anf_sat_lab.cli import EXIT_IO, EXIT_SOFTWARE, EXIT_USAGE
+
+        (tmp_path / "file").write_text("")
+        below_a_file = str(tmp_path / "file" / "out")
+        codes = readme_exit_codes()
+        runs = 0
+        for name, p, action in value_flags():
+            flag = action.option_strings[-1]
+            if name is None:  # a top-level flag goes before the subcommand
+                prefix, suffix = [], ["parse", two_cnf]
+            else:
+                takes_input = any(not a.option_strings for a in p._actions)
+                prefix = [name, *([two_cnf] if takes_input else []), *self.BASE.get(name, [])]
+                suffix = []
+            for value in [below_a_file] if flag in self.PATH_FLAGS else ["0", "-1", "x"]:
+                argv = [*prefix, flag, value, *suffix]
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                out, err = capsys.readouterr()
+                assert code in codes, (argv, code, err)
+                assert "Traceback" not in err, argv
+                if code in (EXIT_USAGE, EXIT_SOFTWARE, EXIT_IO) or err:
+                    assert out == "", (argv, code, err)
+                runs += 1
+        assert runs > 50
+
+    def test_every_mode_flag_offers_the_ring_modes(self):
+        from anf_sat_lab.anf import MODES
+
+        modes = {name: tuple(a.choices) for name, _, a in value_flags() if a.dest == "mode"}
+        assert modes == {name: MODES for name in ("indicator", "coeff", "decide")}

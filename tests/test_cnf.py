@@ -19,7 +19,7 @@ from anf_sat_lab.cnf import (
 from anf_sat_lab.errors import HeaderMismatch, MalformedClause, VarOutOfRange
 from anf_sat_lab.falsify import compact_variables
 from anf_sat_lab.indicator import factor_sequence
-from anf_sat_lab.oracle import random_formula
+from anf_sat_lab.oracle import brute_solutions_slow, random_formula
 
 from golden import EIGHT_CLAUSE, SIX_VAR, TWO_CLAUSE
 from helpers import solution_masks
@@ -85,13 +85,12 @@ class TestParse:
         assert Clause3.from_signed((-1, -2, -3)).forbidden_triple() == (1, 1, 1)
 
     def test_eval_mask_matches_clause_by_clause(self):
-        # Formula.eval_mask reads precomputed forbidden cubes
+        # Formula.eval_mask reads precomputed forbidden cubes; the slow
+        # oracle loops over clauses and literals one assignment at a time
         for n, m, seed in ((3, 1, 1), (5, 12, 2), (7, 30, 3), (8, 40, 4)):
             f = random_formula(n, m, seed)
-            for a in range(1 << n):
-                mask = a << 1
-                want = all(cl.satisfied_by_mask(mask) for cl in f.clauses)
-                assert f.eval_mask(mask) == want
+            want = brute_solutions_slow(f).masks()
+            assert {a << 1 for a in range(1 << n) if f.eval_mask(a << 1)} == want
 
 
 class TestRoundTrips:
@@ -220,16 +219,16 @@ class TestStaticSets:
     def test_two_clause_sets(self):
         sf = sort_clauses(parse_dimacs(TWO_CLAUSE))
         sets = static_sets(sf)
-        assert sets.cl_of(3) == frozenset({1})
-        assert sets.v_of(3) == frozenset({1, 2, 3})
-        assert sets.cl_of(4) == frozenset({2})
-        assert sets.v_of(4) == frozenset({2, 3, 4})
+        assert sets.cl[3] == frozenset({1})
+        assert sets.v[3] == frozenset({1, 2, 3})
+        assert sets.cl[4] == frozenset({2})
+        assert sets.v[4] == frozenset({2, 3, 4})
 
     def test_single_clause(self):
         sf = sort_clauses(parse_dimacs("p cnf 5 1\n1 -3 5 0"))
         sets = static_sets(sf)
-        assert sets.cl_of(5) == frozenset({1})
-        assert all(not sets.cl_of(t) for t in range(1, 5))
+        assert sets.cl[5] == frozenset({1})
+        assert all(not sets.cl[t] for t in range(1, 5))
 
     def test_windowed_family(self):
         # chained 3-windows: V(x_i) = {i-2, i-1, i}
@@ -240,7 +239,7 @@ class TestStaticSets:
         sf = sort_clauses(parse_dimacs("\n".join(lines)))
         sets = static_sets(sf)
         for i in range(3, n + 1):
-            assert sets.v_of(i) == frozenset({i - 2, i - 1, i})
+            assert sets.v[i] == frozenset({i - 2, i - 1, i})
 
     def test_partition_and_counts(self):
         for seed in range(10):
@@ -248,17 +247,12 @@ class TestStaticSets:
             sets = static_sets(sf)
             union = set()
             for t in range(1, sf.n + 1):
-                for k in sets.cl_of(t):
+                for k in sets.cl[t]:
                     assert sf.clauses[k - 1].t == t
                     union.add(k)
-                assert sets.m_plus[t] + sets.m_minus[t] == len(sets.cl_of(t))
-                assert sets.v_of(t) <= set(range(1, t + 1))
+                assert sets.m_plus[t] + sets.m_minus[t] == len(sets.cl[t])
+                assert sets.v[t] <= set(range(1, t + 1))
             assert union == set(range(1, sf.m + 1))
-
-    def test_v_up_to(self):
-        sf = sort_clauses(parse_dimacs(TWO_CLAUSE))
-        sets = static_sets(sf)
-        assert sets.v_up_to(4, 3) == frozenset({2, 3})
 
 
 class TestRelabelSpecExample:

@@ -17,7 +17,6 @@ from anf_sat_lab.coeffs import (
     DEFAULT_FRONTIER_CAP,
     CoefficientQuery,
     clause_coeffs,
-    coefficient,
     decide_sat_bounded,
     sweep,
 )
@@ -108,10 +107,8 @@ class TestCoefficientRecursion:
             n = rng.randrange(3, 8)
             f = random_instance(rng, n, 4 * n)
             fs = factor_sequence(sort_clauses(f))
-            expanded = expand_product(fs.g_list(), "gf2")
-            expanded_int = expand_product(
-                [fs.g_int(t) for t in range(1, n + 1)], "int"
-            )
+            expanded = expand_product([fs.g(t) for t in range(1, n + 1)], "gf2")
+            expanded_int = expand_product([fs.g(t, "int") for t in range(1, n + 1)], "int")
             q2 = CoefficientQuery.from_factor_sequence(fs, "gf2")
             qi = CoefficientQuery.from_factor_sequence(fs, "int")
             for mask_low in range(1 << n):
@@ -122,10 +119,6 @@ class TestCoefficientRecursion:
                     1 if mask in expanded.masks else 0
                 )
                 assert q2.coefficient(mask) == want_int % 2
-
-    def test_one_shot_helper(self):
-        fs = factor_sequence(sort_clauses(parse_dimacs(SIX_VAR)))
-        assert coefficient(fs, full_mask(6), "int") == SIX_VAR_COMPUTED_TOP
 
     def test_rejects_bit_zero(self):
         q = CoefficientQuery(window_factors(5))
@@ -192,11 +185,7 @@ class TestReferenceRecursion:
                     f = random_formula(n, round(ratio * n), seed)
                     fs = factor_sequence(sort_clauses(relabel_by_frequency(f)[0]))
                     for mode in ("gf2", "int"):
-                        factors = (
-                            fs.g_list()
-                            if mode == "gf2"
-                            else [fs.g_int(t) for t in range(1, n + 1)]
-                        )
+                        factors = [fs.g(t, mode) for t in range(1, n + 1)]
                         for cap in (3, 40, DEFAULT_FRONTIER_CAP):
                             where = (n, ratio, seed, mode, cap)
                             q = CoefficientQuery(factors, mode, frontier_cap=cap)
@@ -219,8 +208,9 @@ class TestReferenceRecursion:
         after every query exactly the levels whose memo holds a quarter of
         their 2**i masks are also kept as lists."""
         fs = factor_sequence(sort_clauses(relabel_by_frequency(random_formula(n, n, 1))[0]))
-        q = CoefficientQuery(fs.g_list())
-        ref = ReferenceCoefficientQuery(fs.g_list(), frontier_cap=DEFAULT_FRONTIER_CAP)
+        factors = [fs.g(t) for t in range(1, n + 1)]
+        q = CoefficientQuery(factors)
+        ref = ReferenceCoefficientQuery(factors, frontier_cap=DEFAULT_FRONTIER_CAP)
         levels = range(1, n + 1)
         for zeros in range(3):
             for positions in combinations(range(1, n + 1), zeros):
@@ -264,6 +254,8 @@ class TestSweep:
         assert verdict.witness_mask is None
         # integer mode agrees and sees the computed even top coefficient
         assert not sweep(fs, 0, "int").satisfiable
+        top = CoefficientQuery.from_factor_sequence(fs, "int").coefficient(full_mask(6))
+        assert top == SIX_VAR_COMPUTED_TOP
 
     def test_six_var_prime_k0_sat(self):
         f = parse_dimacs(SIX_VAR)
@@ -308,7 +300,7 @@ class TestSweep:
             n = rng.randrange(3, 7)
             f = random_instance(rng, n, 4 * n)
             fs = factor_sequence(sort_clauses(f))
-            expanded = expand_product(fs.g_list(), "gf2")
+            expanded = expand_product([fs.g(t) for t in range(1, n + 1)], "gf2")
             for k in (0, 1, 2):
                 want = any(
                     bin(m).count("1") >= n - k for m in expanded.masks
@@ -385,16 +377,20 @@ class TestDecide:
 
 # Each entry point that takes a mode, called on (formula, factor sequence, mode).
 MODE_ENTRY_POINTS = {
-    "CoefficientQuery": lambda f, fs, mode: CoefficientQuery(fs.g_list(), mode),
+    "CoefficientQuery": lambda f, fs, mode: CoefficientQuery(
+        [fs.g(t) for t in range(1, fs.n + 1)], mode
+    ),
     "from_factor_sequence": lambda f, fs, mode: CoefficientQuery.from_factor_sequence(
         fs, mode
     ),
-    "coefficient": lambda f, fs, mode: coefficient(fs, full_mask(fs.n), mode),
+    "FactorSequence.g": lambda f, fs, mode: fs.g(1, mode),
     "sweep": lambda f, fs, mode: sweep(fs, 1, mode),
     "decide_sat_bounded": lambda f, fs, mode: decide_sat_bounded(f, 1, mode),
     "indicator_from_clauses": lambda f, fs, mode: indicator_from_clauses(f, mode),
     "indicator_from_factors": lambda f, fs, mode: indicator_from_factors(fs, mode),
-    "expand_product": lambda f, fs, mode: expand_product(fs.g_list(), mode),
+    "expand_product": lambda f, fs, mode: expand_product(
+        [fs.g(t) for t in range(1, fs.n + 1)], mode
+    ),
 }
 
 

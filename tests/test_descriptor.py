@@ -30,7 +30,7 @@ from anf_sat_lab.oracle import random_formula
 from anf_sat_lab.solutions import SearchStats, intersect_images, list_solutions
 
 from golden import EIGHT_CLAUSE, EIGHT_CLAUSE_TABLE, TWO_CLAUSE
-from helpers import descriptor_image_masks, solution_masks
+from helpers import apply_mask, descriptor_image_masks, solution_masks
 
 
 def P(text):
@@ -50,8 +50,8 @@ class TestDescriptorType:
 
     def test_identity(self):
         h = identity_descriptor(4)
-        assert h.is_identity()
-        assert h.apply_mask(0b10110) == 0b10110
+        assert all(h.is_var(i) for i in range(1, 5))
+        assert apply_mask(h, 0b10110) == 0b10110
 
     def test_json_roundtrip(self):
         h = clause_descriptor(Clause3.from_signed((1, -2, 4)), 5)
@@ -259,7 +259,7 @@ class TestBuild:
     def test_empty_formula_identity(self):
         sf = sort_clauses(Formula(n=5, clauses=()))
         result = build(sf)
-        assert result.ok and result.descriptor.is_identity()
+        assert result.ok and result.descriptor == identity_descriptor(5)
 
     def test_eight_clause_unsat(self):
         result = build(sort_clauses(parse_dimacs(EIGHT_CLAUSE)))
@@ -317,7 +317,7 @@ class TestTraceAndProfile:
         for seed in range(10):
             sf = sort_clauses(random_formula(8, 30, seed))
             result = build(sf)
-            assert result.trace.w(8) == static_sets(sf).v_of(8)
+            assert result.trace.w(8) == static_sets(sf).v[8]
 
     def test_predecessor_sets(self):
         result = build(sort_clauses(parse_dimacs(EIGHT_CLAUSE)))
@@ -468,8 +468,8 @@ class TestTableBackedDescriptor:
                 h.to_json(),
                 h.image_indices(),
                 # every alpha; n = 12, 13 alone would take longer than the rest
-                [h.apply_mask(a << 1) for a in range(1 << h.n)] if h.n <= 11 else None,
-                h.is_identity(),
+                [apply_mask(h, a << 1) for a in range(1 << h.n)] if h.n <= 11 else None,
+                h == identity_descriptor(h.n),
             )
 
         pairs = 0
@@ -523,7 +523,7 @@ class TestTableBackedDescriptor:
         h = build(sf).descriptor
         list_solutions(h)
         h.image_indices()
-        h.is_identity()
+        assert h != identity_descriptor(10)
         assert conversions == []
         top = h.entry(10)
         assert len(conversions) == 1 and h.entry(10) is top
@@ -538,7 +538,7 @@ class TestTableBackedDescriptor:
         with pytest.raises(InvariantViolation):
             Descriptor.from_tables(1, (-1,))
         h = Descriptor.from_tables(2, (0b10, 0b1100))
-        assert h == identity_descriptor(2) and h.is_identity()
+        assert h == identity_descriptor(2)
 
     def test_frozen_copyable_picklable(self):
         h = build(sort_clauses(random_formula(6, 20, 1))).descriptor

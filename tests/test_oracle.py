@@ -7,7 +7,6 @@ from anf_sat_lab.cnf import Formula, parse_dimacs, sort_clauses
 from anf_sat_lab.errors import GenerationError, TooLarge
 from anf_sat_lab.indicator import factor_sequence
 from anf_sat_lab.oracle import (
-    anf_from_truth_column,
     brute_column,
     brute_count,
     brute_solutions,
@@ -70,7 +69,7 @@ class TestExpandProduct:
 
     def test_six_var_integer_top(self):
         fs = factor_sequence(sort_clauses(parse_dimacs(SIX_VAR)))
-        poly = expand_product([fs.g_int(t) for t in range(1, 7)], "int")
+        poly = expand_product([fs.g(t, "int") for t in range(1, 7)], "int")
         assert poly.coefficient(0b1111110) == SIX_VAR_COMPUTED_TOP
 
     def test_parity_cross_check(self):
@@ -79,8 +78,8 @@ class TestExpandProduct:
             n = rng.randrange(3, 7)
             f = random_instance(rng, n, 3 * n)
             fs = factor_sequence(sort_clauses(f))
-            gf2 = expand_product(fs.g_list(), "gf2")
-            integer = expand_product([fs.g_int(t) for t in range(1, n + 1)], "int")
+            gf2 = expand_product([fs.g(t) for t in range(1, n + 1)], "gf2")
+            integer = expand_product([fs.g(t, "int") for t in range(1, n + 1)], "int")
             assert integer.reduce_mod2() == gf2
 
     def test_limit(self):
@@ -95,7 +94,7 @@ class TestMoebius:
             n = rng.randrange(1, 6)
             masks = [rng.randrange(1 << n) << 1 for _ in range(rng.randrange(6))]
             p = AnfPoly(masks)
-            assert anf_from_truth_column(p.truth_column(n), n) == p
+            assert AnfPoly.from_truth_column(p.truth_column(n), n) == p
 
     def test_truth_column_matches_pointwise(self):
         rng = random.Random(54)
@@ -115,7 +114,7 @@ class TestMoebius:
                 )
 
     def test_ignores_bits_above_the_table(self):
-        assert anf_from_truth_column(0b1_0110, 2) == AnfPoly.parse("a1 + a2")
+        assert AnfPoly.from_truth_column(0b1_0110, 2) == AnfPoly.parse("a1 + a2")
 
 
 class TestRandomFormula:
