@@ -83,17 +83,17 @@ def _parse_term(term: str) -> tuple[int, int]:
     return coeff, mask
 
 
-def _graded(mask: int) -> tuple:
-    """Graded-lexicographic key: by degree, then by ascending variables."""
-    return (bin(mask).count("1"), vars_of_mask(mask))
+def _graded(masks: Iterable[int]) -> list[tuple[tuple[int, ...], int]]:
+    """(variables, mask) of each monomial, by degree, then by ascending variables."""
+    return sorted(((vars_of_mask(m), m) for m in masks), key=lambda vm: (len(vm[0]), vm[0]))
 
 
-def _render(terms: Iterable[tuple[int, int]], prefix: str) -> str:
-    """Text of (mask, coefficient) terms in the given order; a coefficient 1 is implicit."""
+def _render(terms: Iterable[tuple[tuple[int, ...], int]], prefix: str) -> str:
+    """Text of (variables, coefficient) terms in the given order; a coefficient 1 is implicit."""
     parts = []
-    for m, c in terms:
-        body = "*".join(f"{prefix}{v}" for v in vars_of_mask(m))
-        parts.append(f"{c}*{body}" if m and c != 1 else body or str(c))
+    for vs, c in terms:
+        body = "*".join(f"{prefix}{v}" for v in vs)
+        parts.append(f"{c}*{body}" if vs and c != 1 else body or str(c))
     return " + ".join(parts) or "0"
 
 
@@ -313,14 +313,14 @@ class AnfPoly:
 
     def sorted_masks(self) -> list[int]:
         """Graded-lexicographic order: by degree, then by ascending variables."""
-        return sorted(self._masks, key=_graded)
+        return [m for _, m in _graded(self._masks)]
 
     def to_text(self, prefix: str = "a") -> str:
-        return _render(((m, 1) for m in self.sorted_masks()), prefix)
+        return _render(((vs, 1) for vs, _ in _graded(self._masks)), prefix)
 
     def to_json(self) -> list[list[int]]:
         """Sorted list of sorted variable-index lists."""
-        return [list(vars_of_mask(m)) for m in self.sorted_masks()]
+        return [list(vs) for vs, _ in _graded(self._masks)]
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "AnfPoly":
@@ -445,8 +445,7 @@ class IntPoly:
         return self.eval_mask(_assignment_mask(self.max_var(), assignment))
 
     def to_text(self, prefix: str = "x") -> str:
-        coeffs = self._coeffs
-        return _render(((m, coeffs[m]) for m in sorted(coeffs, key=_graded)), prefix)
+        return _render(((vs, self._coeffs[m]) for vs, m in _graded(self._coeffs)), prefix)
 
     def __repr__(self) -> str:
         return f"IntPoly({self.to_text()})"

@@ -232,8 +232,8 @@ def _merge_level(f: int, g: int, l: int) -> tuple[int, int]:
 class MergeStep:
     """Trace record for one clause merge."""
 
-    step: int  # 1-based position in the build
-    clause_index: int  # 1-based position in the sorted formula
+    step: int  # 1-based position in the trace
+    clause_index: int  # equal to step: step k merges the fold's k-th clause
     t: int
     situation: str  # 'A' | 'B' | 'C'
     chain: tuple[int, ...]  # cascade levels j, in firing order
@@ -254,14 +254,41 @@ class MergeTrace:
     pred_edges: set[tuple[int, int]] = field(default_factory=set)  # (from, to), to < from
     formula: Optional[SortedFormula] = None
 
-    def record(self, step: MergeStep) -> None:
-        self.steps.append(step)
+    def record(
+        self, clause: Clause3, chain: tuple[int, ...], before: list, after: Optional[list]
+    ) -> None:
+        """Append the step that merged ``clause`` into ``before``; ``after`` None is unsat."""
+        if after is None or chain:
+            situation = "C"
+        elif after == before:
+            situation = "A"
+        else:
+            situation = "B"
+        step = len(self.steps) + 1
+        lens = self._measure(before if after is None else after)
+        self.steps.append(
+            MergeStep(step, step, clause.t, situation, chain, lens, unsat=after is None)
+        )
         for name in ("_preds", "_w_stars"):  # a new edge can widen any P and W*
             self.__dict__.pop(name, None)
-        prev = step.t
-        for j in step.chain:
+        prev = clause.t
+        for j in chain:
             self.pred_edges.add((prev, j))
             prev = j
+
+    def _measure(self, entries: list) -> tuple[int, ...]:
+        """len(h_i) of each entry; those equal to the last measured keep their length.
+
+        The last measured entries and their lengths live outside the fields,
+        so they take no part in equality or repr.
+        """
+        old, old_lens = self.__dict__.get("_measured", ((), ()))
+        lens = tuple(
+            old_lens[l - 1] if l <= len(old) and entry == old[l - 1] else _entry_len(entry, l)
+            for l, entry in enumerate(entries, start=1)
+        )
+        self._measured = (entries, lens)
+        return lens
 
     @cached_property
     def _preds(self) -> dict[int, frozenset[int]]:
@@ -483,7 +510,9 @@ def _on_tables(n: int) -> bool:
 
 
 def _entry_len(entry: AnfPoly | int, l: int) -> int:
-    return len(entry) if isinstance(entry, AnfPoly) else _table_len(entry, l)
+    if isinstance(entry, AnfPoly):
+        return len(entry)
+    return 1 if entry == var_columns(l)[l] else _table_len(entry, l)  # a_l without a transform
 
 
 def _descriptor(entries: list, n: int) -> Descriptor:
@@ -494,51 +523,19 @@ def _descriptor(entries: list, n: int) -> Descriptor:
 
 
 def _merge_step(
-    entries: list,
-    lens: Optional[list[int]],
-    clause: Clause3,
-    n: int,
-    cap: int,
-    trace: Optional[MergeTrace],
-    step: int,
-    clause_index: int,
-) -> tuple[Optional[list], Optional[list[int]]]:
+    entries: list, clause: Clause3, n: int, cap: int, trace: Optional[MergeTrace]
+) -> Optional[list]:
     """Merge one clause into entries (tables when ``_on_tables(n)``).
 
-    Returns ``(h, lens)``: the merged entries, None when the result is
-    unsatisfiable, and their lengths; records the step when a trace is
-    given.  ``lens`` are the lengths of ``entries``, which only the trace
-    reads: only entries that changed are measured again, and nothing is
-    measured without a trace (``lens`` None).
+    Returns the merged entries, None when the result is unsatisfiable, and
+    records the step when a trace is given.
     """
     _check_clause_fits(clause, n)
     sweep = _merge_clause_tables if _on_tables(n) else _merge_clause
     h, chain = sweep(list(entries), clause, n, cap)
-    if trace is None:
-        return h, None
-    if h is not None:
-        lens = [
-            old_len if new == old else _entry_len(new, l)
-            for l, (new, old, old_len) in enumerate(zip(h, entries, lens), start=1)
-        ]
-    if h is None or chain:
-        situation = "C"
-    elif h == entries:
-        situation = "A"
-    else:
-        situation = "B"
-    trace.record(
-        MergeStep(
-            step=step,
-            clause_index=clause_index,
-            t=clause.t,
-            situation=situation,
-            chain=chain,
-            lens=tuple(lens),
-            unsat=h is None,
-        )
-    )
-    return h, lens
+    if trace is not None:
+        trace.record(clause, chain, entries, h)
+    return h
 
 
 def merge(
@@ -547,15 +544,9 @@ def merge(
     trace: Optional[MergeTrace] = None,
     *,
     cap: int = DEFAULT_LEN_CAP,
-    step: int = 1,
-    clause_index: int = 1,
 ) -> Optional[Descriptor]:
     """Merge one clause into a descriptor; None signals an unsatisfiable result."""
-    entries: list = list(f.tables if _on_tables(f.n) else f.h)
-    lens = None
-    if trace is not None:
-        lens = [_entry_len(entry, l) for l, entry in enumerate(entries, start=1)]
-    h, _ = _merge_step(entries, lens, clause, f.n, cap, trace, step, clause_index)
+    h = _merge_step(list(f.tables if _on_tables(f.n) else f.h), clause, f.n, cap, trace)
     return None if h is None else _descriptor(h, f.n)
 
 
@@ -570,10 +561,9 @@ def build(
         var_columns(l)[l] if _on_tables(f.n) else AnfPoly.var(l)
         for l in range(1, f.n + 1)
     ]
-    lens = [1] * f.n
-    for pos, clause in enumerate(f.clauses, start=1):
+    for clause in f.clauses:
         try:
-            h, lens = _merge_step(entries, lens, clause, f.n, cap, trace, pos, pos)
+            h = _merge_step(entries, clause, f.n, cap, trace)
         except ResourceCap as exc:
             return BuildResult(
                 status="capped",

@@ -260,7 +260,7 @@ def descriptor_from_smatrix(a: SMatrix) -> Descriptor:
                 children.append((lo, hi, reach))
         entries.append(entry)
         nodes = children
-    return Descriptor.from_tables(n, entries) if on_tables else Descriptor(n, entries)
+    return _descriptor_mod._descriptor(entries, n)
 
 
 def image(h: Descriptor) -> SMatrix:

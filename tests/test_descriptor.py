@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 
-from anf_sat_lab.anf import AnfPoly, moebius
+from anf_sat_lab.anf import AnfPoly, moebius, var_columns
 from anf_sat_lab.cnf import Clause3, Formula, parse_dimacs, sort_clauses
 from anf_sat_lab import descriptor
 from anf_sat_lab.descriptor import (
@@ -369,10 +369,10 @@ class TestTableFold:
             current = identity_descriptor(9)
             tables, sparse = MergeTrace(n=9), MergeTrace(n=9)
             for pos, clause in enumerate(sf.clauses, start=1):
-                got = merge(current, clause, tables, step=pos, clause_index=pos)
+                got = merge(current, clause, tables)
                 with monkeypatch.context() as m:
                     m.setattr(descriptor, "_on_tables", lambda n: False)
-                    want = merge(current, clause, sparse, step=pos, clause_index=pos)
+                    want = merge(current, clause, sparse)
                 assert got == want and tables == sparse, (seed, pos)
                 assert merge(current, clause) == got  # no trace, no lengths measured
                 if got is None:
@@ -638,7 +638,7 @@ class TestTracePinned:
         sf = sort_clauses(random_formula(8, 60, 2))
         current, trace = identity_descriptor(8), MergeTrace(n=8)
         for pos, clause in enumerate(sf.clauses, start=1):
-            current = merge(current, clause, trace, step=pos, clause_index=pos)
+            current = merge(current, clause, trace)
             if current is None:
                 break
         assert current is None and trace.steps[-1].unsat
@@ -646,3 +646,49 @@ class TestTracePinned:
         assert hashlib.sha256(trace_record("unsat", None, trace).encode()).hexdigest() == (
             "1a44d23a6d47637071f1f93f02a69bd68783948fb972174d0792477a617277ce"
         )
+
+
+class TestTraceBooks:
+    """The trace numbers its own steps and measures the lengths it records."""
+
+    def test_shared_trace_measures_unrelated_merges(self):
+        # Two chains take turns, so each merge starts from entries the trace did not see last.
+        chains = [[identity_descriptor(8), sort_clauses(random_formula(8, 40, s)).clauses]
+                  for s in (1, 4)]
+        trace = MergeTrace(n=8)
+        for pos in range(40):
+            for chain in chains:
+                current, clauses = chain
+                if current is None:
+                    continue
+                result = merge(current, clauses[pos], trace)
+                measured = current if result is None else result
+                want = tuple(len(measured.entry(i)) for i in range(1, 9))
+                assert trace.steps[-1].lens == want, pos
+                chain[0] = result
+        assert [current is None for current, _ in chains] == [False, True]  # seed 4 is UNSAT
+        assert {step.situation for step in trace.steps} == {"A", "B", "C"}
+        assert [(s.step, s.clause_index) for s in trace.steps] == [
+            (pos, pos) for pos in range(1, len(trace.steps) + 1)
+        ]
+
+    def test_build_numbers_steps_by_position(self):
+        statuses = set()
+        for n, m, cap in ((8, 20, 4), (8, 60, descriptor.DEFAULT_LEN_CAP), (21, 14, 1 << 20)):
+            result = build(sort_clauses(random_formula(n, m, 1)), cap=cap)
+            statuses.add(result.status)
+            for pos, step in enumerate(result.trace.steps, start=1):
+                assert step.step == step.clause_index == pos
+        assert statuses == {"ok", "unsat", "capped"}
+
+    def test_fresh_build_measures_no_identity_entry(self, monkeypatch):
+        measured = []
+        real = descriptor._table_len
+
+        def spy(table, l):
+            measured.append(table == var_columns(l)[l])
+            return real(table, l)
+
+        monkeypatch.setattr(descriptor, "_table_len", spy)
+        result = build(sort_clauses(random_formula(10, 43, 1)))
+        assert result.trace.steps and measured and not any(measured)
