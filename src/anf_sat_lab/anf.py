@@ -228,6 +228,10 @@ class AnfPoly:
                     add(m)
         return AnfPoly._wrap(frozenset(acc))
 
+    # Truth tables spell the same ring operations ^ and &, so one merge sweep reads both.
+    __xor__ = __add__
+    __and__ = __mul__
+
     def restrict(self, i: int, b: int) -> "AnfPoly":
         """Fix variable ``i`` to the bit ``b`` and simplify."""
         bit = 1 << i

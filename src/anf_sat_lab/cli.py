@@ -22,7 +22,7 @@ from .cnf import Formula, parse_dimacs, formula_to_json, sort_clauses, to_dimacs
 from .coeffs import DEFAULT_FRONTIER_CAP, CoefficientQuery, decide_sat_bounded
 from .descriptor import DEFAULT_LEN_CAP, Descriptor, build, profile_csv
 from .errors import AnfSatError, GenerationError, ResourceCap
-from .falsify import CLAIM_IDS, falsify
+from .falsify import CLAIM_IDS, check_campaign, falsify
 from .indicator import (
     DEFAULT_TERM_CAP,
     factor_sequence,
@@ -252,6 +252,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_falsify(args: argparse.Namespace) -> int:
     claims = CLAIM_IDS if args.claims == "all" else tuple(args.claims.split(","))
+    try:  # a ValueError from the campaign itself is no usage error
+        check_campaign(claims, args.ratio)
+    except ValueError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_USAGE
     try:
         reports, stats = falsify(
             claims,
@@ -261,9 +266,6 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
             seed=args.seed,
             report_dir=args.report_dir,
         )
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
     except OSError as exc:
         sys.stderr.write(f"cannot write {args.report_dir}: {exc}\n")
         return EXIT_IO

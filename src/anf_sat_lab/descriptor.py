@@ -12,8 +12,11 @@ Up to ``_TABLE_MERGE_MAX_LEVEL`` variables the sweep holds each entry h_i as
 its 2**i-bit truth table over a_1..a_i (bit ``a`` is the value at the
 assignment ``a << 1``, as in ``AnfPoly.truth_column``), and the resulting
 descriptor keeps those tables, converting an entry to a polynomial only when
-it is asked for.  Above it a table would need 2**n bits, so the sweep runs
-on sparse monomial sets through ``merge_poly``.
+it is asked for.  Above it a table would need 2**n bits, so entries are
+sparse monomial sets.  The sweep is written once, in ``_merge_clause``; the
+entry form only chooses its kernels: the level merge (``_merge_level`` or
+``merge_poly``), the residual's top variable, the widening of a lower entry
+to level t, and the final substitution pass.
 """
 
 from __future__ import annotations
@@ -347,80 +350,76 @@ class BuildResult:
         return self.status == "capped"
 
 
-def _over_cap(l: int, size: int, cap: int) -> ResourceCap:
-    return ResourceCap(f"len(h_{l}) = {size} exceeds cap {cap}", where=str(l), size=size)
-
-
-def _check_chain(chain: list[int], j: int) -> None:
-    if chain and j >= chain[-1]:
-        raise InvariantViolation(f"cascade level {j} does not decrease (chain {chain})")
+def _check_cap(entry: AnfPoly | int, l: int, cap: int) -> None:
+    """Raise ResourceCap when len(h_l) exceeds the cap; callers skip 2**l <= cap."""
+    size = _entry_len(entry, l)
+    if size > cap:
+        raise ResourceCap(f"len(h_{l}) = {size} exceeds cap {cap}", where=str(l), size=size)
 
 
 def _merge_clause(
-    f: list[AnfPoly],
+    f: list,
     clause: Clause3,
     n: int,
     cap: int,
-) -> tuple[Optional[list[AnfPoly]], tuple[int, ...]]:
-    """Run the descending sweep for one clause on sparse polynomials.
+) -> tuple[Optional[list], tuple[int, ...]]:
+    """Run the descending sweep for one clause.
 
-    Returns (h list, cascade chain), with h None when a residual
-    degenerates to the constant 1.  Raises ResourceCap when an entry
-    outgrows the cap.
+    Entries are truth tables when ``_on_tables(n)`` and sparse polynomials
+    otherwise; the form chooses the kernels, the sweep is the same.  Returns
+    (h list, cascade chain), with h None when a residual degenerates to the
+    constant 1.  Raises ResourceCap when an entry outgrows the cap.
     """
+    tables = _on_tables(n)
+    if tables:
+        merge_level, top, lift, substitute = _merge_level, _table_top, widen, _substitute_tables
+    else:
+        merge_level, top, lift, substitute = merge_poly, _poly_top, _same, _substitute_polys
+    var, one = _units(n, tables)
     t = clause.t
-    h: list[AnfPoly] = [AnfPoly.zero()] * n
+    h: list = [None] * n
     chain: list[int] = []
     for l in range(n, 0, -1):
         fl = f[l - 1]
-        gl = AnfPoly.var(l)
+        gl = var[l]
         if l == t:
             # a_t + the forbidden cube with a_v <- f_v below t
-            gl += cube(
-                (gl if lit.var == t else f[lit.var - 1], b)
-                for lit, b in zip(clause.lits, clause.forbidden_triple())
-            )
+            cube = one[t]
+            for lit, forbidden in zip(clause.lits, clause.forbidden_triple()):
+                column = gl if lit.var == t else lift(f[lit.var - 1], lit.var, t)
+                cube &= column if forbidden else one[t] ^ column
+            gl ^= cube
         elif fl == gl:  # identity merged with identity stays identity
             h[l - 1] = fl
             continue
-        h_l, residual = merge_poly(fl, gl, l)
-        if len(h_l) > cap:
-            raise _over_cap(l, len(h_l), cap)
-        h[l - 1] = h_l
+        h[l - 1], residual = merge_level(fl, gl, l)
+        if 1 << l > cap:  # len(h_l) <= 2**l, so smaller levels cannot exceed it
+            _check_cap(h[l - 1], l, cap)
+        width = l - 1  # the residual is over a_1..a_width
         # Cascade: fold the residual constraint into ever-lower entries.
-        while not residual.is_zero():
-            if residual.is_one():
+        while residual:
+            if residual == one[width]:
                 return None, tuple(chain)
-            j = residual.max_var()
-            _check_chain(chain, j)
+            residual, j = top(residual, width)
+            if chain and j >= chain[-1]:
+                raise InvariantViolation(f"cascade level {j} does not decrease (chain {chain})")
             chain.append(j)
-            g_j = residual + AnfPoly.var(j)
-            new_fj, residual = merge_poly(f[j - 1], g_j, j)
-            if len(new_fj) > cap:
-                raise _over_cap(j, len(new_fj), cap)
-            f[j - 1] = new_fj
-    # Final substitution pass: a_i -> h_i inside every higher entry.
-    for i in range(1, n + 1):
-        hi = h[i - 1]
-        if hi == AnfPoly.var(i):
-            continue
-        for j in range(i + 1, n + 1):
-            h[j - 1] = h[j - 1].substitute(i, hi)
-            if len(h[j - 1]) > cap:
-                raise _over_cap(j, len(h[j - 1]), cap)
+            f[j - 1], residual = merge_level(f[j - 1], residual ^ var[j], j)
+            if 1 << j > cap:
+                _check_cap(f[j - 1], j, cap)
+            width = j - 1
+    substitute(h, n, cap)
     return h, tuple(chain)
 
 
-def _table_len(table: int, l: int) -> int:
-    """len() of the polynomial with this truth table over a_1..a_l."""
-    return moebius(table, l).bit_count()
-
-
-def _check_table_cap(table: int, l: int, cap: int) -> None:
-    if 1 << l > cap:  # len(h_l) <= 2**l, so smaller levels cannot exceed it
-        size = _table_len(table, l)
-        if size > cap:
-            raise _over_cap(l, size, cap)
+@cache
+def _units(n: int, tables: bool) -> tuple[tuple, tuple]:
+    """a_l and the constant 1 over a_1..a_l for l = 0..n, in one entry form (a_0 is 0)."""
+    levels = range(n + 1)
+    if tables:
+        columns = _columns_up_to(n)
+        return tuple(columns[l][l] for l in levels), tuple(map(all_ones_column, levels))
+    return (AnfPoly.zero(), *map(AnfPoly.var, levels[1:])), (AnfPoly.one(),) * (n + 1)
 
 
 @cache
@@ -429,59 +428,29 @@ def _columns_up_to(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(var_columns(l) for l in range(n + 1))
 
 
-def _merge_clause_tables(
-    f: list[int],
-    clause: Clause3,
-    n: int,
-    cap: int,
-) -> tuple[Optional[list[int]], tuple[int, ...]]:
-    """``_merge_clause`` with entry i held as its 2**i-bit truth table.
+def _table_top(residual: int, width: int) -> tuple[int, int]:
+    """(residual, j) with j its top variable and the residual cut to a_1..a_j."""
+    # Its ANF uses a_width exactly when its two halves differ.
+    half = 1 << (width - 1)
+    while residual >> half == residual & ((1 << half) - 1):
+        residual >>= half
+        width -= 1
+        half >>= 1
+    return residual, width
 
-    Composition with lower entries, restriction and substitution act on
-    whole tables; only the cap check converts, and only where 2**l > cap.
-    """
-    t = clause.t
+
+def _poly_top(residual: AnfPoly, width: int) -> tuple[AnfPoly, int]:
+    return residual, residual.max_var()
+
+
+def _same(poly: AnfPoly, k: int, n: int) -> AnfPoly:
+    """A polynomial over a_1..a_k is one over a_1..a_n as it is."""
+    return poly
+
+
+def _substitute_tables(h: list[int], n: int, cap: int) -> None:
+    """Final substitution pass on tables: a_i -> h_i is a mux between the cofactors."""
     columns = _columns_up_to(n)
-    capped = cap < 1 << n  # len(h_l) <= 2**l, so below this no level can exceed it
-    h = [0] * n
-    chain: list[int] = []
-    for l in range(n, 0, -1):
-        fl = f[l - 1]
-        gl = columns[l][l]
-        if l == t:
-            # a_t + the forbidden cube with a_v <- f_v below t
-            ones = all_ones_column(t)
-            cube = ones
-            for lit, forbidden in zip(clause.lits, clause.forbidden_triple()):
-                column = gl if lit.var == t else widen(f[lit.var - 1], lit.var, t)
-                cube &= column if forbidden else ones ^ column
-            gl ^= cube
-        elif fl == gl:  # identity merged with identity stays identity
-            h[l - 1] = fl
-            continue
-        h_l, residual = _merge_level(fl, gl, l)
-        if capped:
-            _check_table_cap(h_l, l, cap)
-        h[l - 1] = h_l
-        width = l - 1  # the residual is a table over a_1..a_width
-        while residual:
-            if residual == all_ones_column(width):
-                return None, tuple(chain)
-            # Its ANF uses a_width exactly when its two halves differ.
-            half = 1 << (width - 1)
-            while residual >> half == residual & ((1 << half) - 1):
-                residual >>= half
-                width -= 1
-                half >>= 1
-            j = width
-            _check_chain(chain, j)
-            chain.append(j)
-            new_fj, residual = _merge_level(f[j - 1], residual ^ columns[j][j], j)
-            if capped:
-                _check_table_cap(new_fj, j, cap)
-            f[j - 1] = new_fj
-            width = j - 1
-    # Final substitution pass: a_i -> h_i is a mux between the cofactors.
     for i in range(1, n + 1):
         hi = h[i - 1]
         if hi == columns[i][i]:
@@ -500,9 +469,25 @@ def _merge_clause_tables(
             r0 |= r0 << shift
             r1 = at_one | at_one >> shift
             h[j - 1] = hj = r0 ^ (r0 ^ r1) & hi
-            if capped:
-                _check_table_cap(hj, j, cap)
-    return h, tuple(chain)
+            if 1 << j > cap:
+                _check_cap(hj, j, cap)
+
+
+def _substitute_polys(h: list[AnfPoly], n: int, cap: int) -> None:
+    """Final substitution pass on polynomials: a_i -> h_i inside every higher entry."""
+    for i in range(1, n + 1):
+        hi = h[i - 1]
+        if hi == AnfPoly.var(i):
+            continue
+        for j in range(i + 1, n + 1):
+            h[j - 1] = h[j - 1].substitute(i, hi)
+            if 1 << j > cap:
+                _check_cap(h[j - 1], j, cap)
+
+
+def _table_len(table: int, l: int) -> int:
+    """len() of the polynomial with this truth table over a_1..a_l."""
+    return moebius(table, l).bit_count()
 
 
 def _on_tables(n: int) -> bool:
@@ -531,8 +516,7 @@ def _merge_step(
     records the step when a trace is given.
     """
     _check_clause_fits(clause, n)
-    sweep = _merge_clause_tables if _on_tables(n) else _merge_clause
-    h, chain = sweep(list(entries), clause, n, cap)
+    h, chain = _merge_clause(list(entries), clause, n, cap)
     if trace is not None:
         trace.record(clause, chain, entries, h)
     return h
@@ -557,10 +541,7 @@ def build(
 ) -> BuildResult:
     """Fold all clauses of a sorted formula into a single descriptor."""
     trace = MergeTrace(n=f.n, formula=f)
-    entries: list = [
-        var_columns(l)[l] if _on_tables(f.n) else AnfPoly.var(l)
-        for l in range(1, f.n + 1)
-    ]
+    entries = list(_units(f.n, _on_tables(f.n))[0][1:])
     for clause in f.clauses:
         try:
             h = _merge_step(entries, clause, f.n, cap, trace)

@@ -34,6 +34,7 @@ __all__ = [
     "CLAIM_IDS",
     "FalsificationReport",
     "FalsifyStats",
+    "check_campaign",
     "check_claim",
     "falsify",
     "minimize_formula",
@@ -211,16 +212,8 @@ def verify_one_minimal(
     return True
 
 
-def falsify(
-    claims: Iterable[str],
-    *,
-    count: int,
-    n: int,
-    ratio: float,
-    seed: int,
-    report_dir: Optional[str] = None,
-) -> tuple[list[FalsificationReport], FalsifyStats]:
-    """Run each claim over seeded random instances; minimize any divergence.
+def check_campaign(claims: Iterable[str], ratio: float) -> list[str]:
+    """The claim ids of a campaign, as a list.
 
     Raises ValueError for an unknown or repeated claim id, or for a ratio
     that is not a positive finite number.
@@ -233,6 +226,20 @@ def falsify(
             raise ValueError(f"repeated claim id {c!r}")
     if not 0 < ratio < math.inf:  # also rejects nan
         raise ValueError(f"ratio must be a positive finite number, got {ratio}")
+    return claim_list
+
+
+def falsify(
+    claims: Iterable[str],
+    *,
+    count: int,
+    n: int,
+    ratio: float,
+    seed: int,
+    report_dir: Optional[str] = None,
+) -> tuple[list[FalsificationReport], FalsifyStats]:
+    """Run each claim over seeded random instances; minimize any divergence."""
+    claim_list = check_campaign(claims, ratio)
     m = max(1, round(ratio * n))
     stats = FalsifyStats(per_claim={c: 0 for c in claim_list})
     reports: list[FalsificationReport] = []

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from typing import Optional
 
-from anf_sat_lab.anf import AnfPoly
-from anf_sat_lab.cnf import Formula
+from anf_sat_lab.anf import AnfPoly, cube
+from anf_sat_lab.cnf import Clause3, Formula
 from anf_sat_lab.coeffs import clause_coeffs
-from anf_sat_lab.descriptor import Descriptor
-from anf_sat_lab.errors import ResourceCap
+from anf_sat_lab.descriptor import Descriptor, merge_poly
+from anf_sat_lab.errors import InvariantViolation, ResourceCap
 from anf_sat_lab.smatrix import NEUTRAL, SMatrix
 
 
@@ -171,3 +172,72 @@ class ReferenceCoefficientQuery:
                 size=len(memo),
             )
         return total
+
+
+def _check_chain(chain: list[int], j: int) -> None:
+    if chain and j >= chain[-1]:
+        raise InvariantViolation(f"cascade level {j} does not decrease (chain {chain})")
+
+
+def _over_cap(l: int, size: int, cap: int) -> ResourceCap:
+    return ResourceCap(f"len(h_{l}) = {size} exceeds cap {cap}", where=str(l), size=size)
+
+
+def reference_merge_clause(
+    f: list[AnfPoly],
+    clause: Clause3,
+    n: int,
+    cap: int,
+) -> tuple[Optional[list[AnfPoly]], tuple[int, ...]]:
+    """Run the descending sweep for one clause on sparse polynomials.
+
+    Returns (h list, cascade chain), with h None when a residual
+    degenerates to the constant 1.  Raises ResourceCap when an entry
+    outgrows the cap.
+
+    The engine's sparse sweep as it was before the table and polynomial
+    sweeps became one, kept verbatim as an independent reference: tests
+    patch it in for ``descriptor._merge_clause``, next to ``_on_tables``,
+    to build the polynomial twins that table builds must match.
+    """
+    t = clause.t
+    h: list[AnfPoly] = [AnfPoly.zero()] * n
+    chain: list[int] = []
+    for l in range(n, 0, -1):
+        fl = f[l - 1]
+        gl = AnfPoly.var(l)
+        if l == t:
+            # a_t + the forbidden cube with a_v <- f_v below t
+            gl += cube(
+                (gl if lit.var == t else f[lit.var - 1], b)
+                for lit, b in zip(clause.lits, clause.forbidden_triple())
+            )
+        elif fl == gl:  # identity merged with identity stays identity
+            h[l - 1] = fl
+            continue
+        h_l, residual = merge_poly(fl, gl, l)
+        if len(h_l) > cap:
+            raise _over_cap(l, len(h_l), cap)
+        h[l - 1] = h_l
+        # Cascade: fold the residual constraint into ever-lower entries.
+        while not residual.is_zero():
+            if residual.is_one():
+                return None, tuple(chain)
+            j = residual.max_var()
+            _check_chain(chain, j)
+            chain.append(j)
+            g_j = residual + AnfPoly.var(j)
+            new_fj, residual = merge_poly(f[j - 1], g_j, j)
+            if len(new_fj) > cap:
+                raise _over_cap(j, len(new_fj), cap)
+            f[j - 1] = new_fj
+    # Final substitution pass: a_i -> h_i inside every higher entry.
+    for i in range(1, n + 1):
+        hi = h[i - 1]
+        if hi == AnfPoly.var(i):
+            continue
+        for j in range(i + 1, n + 1):
+            h[j - 1] = h[j - 1].substitute(i, hi)
+            if len(h[j - 1]) > cap:
+                raise _over_cap(j, len(h[j - 1]), cap)
+    return h, tuple(chain)

@@ -79,6 +79,17 @@ class TestMul:
         assert P("1 + a2 + a1*a2") * P("a1 + a2 + a1*a2") == P("a1")
 
 
+def test_xor_and_spell_add_and_mul():
+    # The merge sweep writes + as ^ and * as &, as on truth tables.
+    rng = random.Random(19)
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        p, q = random_poly(rng, n), random_poly(rng, n)
+        assert p ^ q == p + q
+        assert p & q == p * q
+        assert (p & q).truth_column(n) == p.truth_column(n) & q.truth_column(n)
+
+
 class TestEval:
     def test_integer_example(self):
         g = IntPoly.parse("1 + x1 + 3*x1*x2 + 7*x1*x2*x3")

@@ -486,6 +486,23 @@ class TestEngineBugExit:
         )
         assert (code, out, err) == (70, "", "engine bug: InvariantViolation: planted\n")
 
+    def test_falsify_campaign_error_is_no_usage_error(self, two_cnf, monkeypatch, capsys):
+        # Only falsify's own parameter checks exit 64; an error raised inside the
+        # campaign leaves main as the same error does from decide.
+        import anf_sat_lab.falsify as fz
+
+        planted = ValueError("factor 3 uses variables above 3")
+        monkeypatch.setitem(fz._CHECKERS, "SWEEP_DECIDES", _raiser(planted))
+        monkeypatch.setattr("anf_sat_lab.cli.decide_sat_bounded", _raiser(planted))
+        for argv in (
+            ["falsify", "--count", "1", "--n", "7", "--claims", "SWEEP_DECIDES"],
+            ["decide", "--k", "1", two_cnf],
+        ):
+            with pytest.raises(ValueError) as exc:
+                main(argv)
+            assert exc.value is planted
+            assert capsys.readouterr().out == ""
+
     def test_falsify_minimizer_exits_70(self, monkeypatch, capsys):
         import anf_sat_lab.falsify as fz
         from anf_sat_lab.errors import InvariantViolation

@@ -30,7 +30,7 @@ from anf_sat_lab.oracle import random_formula
 from anf_sat_lab.solutions import SearchStats, intersect_images, list_solutions
 
 from golden import EIGHT_CLAUSE, EIGHT_CLAUSE_TABLE, TWO_CLAUSE
-from helpers import apply_mask, descriptor_image_masks, solution_masks
+from helpers import apply_mask, descriptor_image_masks, reference_merge_clause, solution_masks
 
 
 def P(text):
@@ -174,7 +174,7 @@ class TestMergePolyPaths:
 
     def test_each_representation_has_one_merge(self, monkeypatch):
         calls = []
-        for name in ("_merge_level", "_merge_clause_tables", "merge_poly"):
+        for name in ("_merge_level", "merge_poly"):
             real = getattr(descriptor, name)
 
             def spy(*args, _real=real, _name=name):
@@ -191,6 +191,10 @@ class TestMergePolyPaths:
         n = descriptor._TABLE_MERGE_MAX_LEVEL + 1
         assert build(sort_clauses(random_formula(n, 12, 1))).ok
         assert set(calls) == {"merge_poly"}
+        calls.clear()
+        for sf in grid_formulas():
+            build(sf)
+        assert set(calls) == {"_merge_level"}
 
 
 class TestMerge:
@@ -357,6 +361,7 @@ class TestTableFold:
             for cap in (4, 16, descriptor.DEFAULT_LEN_CAP):
                 with monkeypatch.context() as m:
                     m.setattr(descriptor, "_on_tables", lambda n: False)
+                    m.setattr(descriptor, "_merge_clause", reference_merge_clause)
                     want = build_signature(build(sf, cap=cap))
                 got = build_signature(build(sf, cap=cap))
                 assert got == want, (sf.n, sf.m, cap)
@@ -372,6 +377,7 @@ class TestTableFold:
                 got = merge(current, clause, tables)
                 with monkeypatch.context() as m:
                     m.setattr(descriptor, "_on_tables", lambda n: False)
+                    m.setattr(descriptor, "_merge_clause", reference_merge_clause)
                     want = merge(current, clause, sparse)
                 assert got == want and tables == sparse, (seed, pos)
                 assert merge(current, clause) == got  # no trace, no lengths measured
@@ -381,24 +387,24 @@ class TestTableFold:
 
     def test_gate_depends_only_on_n(self, monkeypatch):
         calls = []
-        for name in ("_merge_clause_tables", "_merge_clause"):
-            sweep = getattr(descriptor, name)
+        for name in ("_substitute_tables", "_substitute_polys"):
+            substitute = getattr(descriptor, name)
 
-            def spy(*args, _sweep=sweep, _name=name):
-                calls.append((_name, args[2]))
-                return _sweep(*args)
+            def spy(*args, _substitute=substitute, _name=name):
+                calls.append((_name, args[1]))  # the pass receives n
+                return _substitute(*args)
 
             monkeypatch.setattr(descriptor, name, spy)
         top = descriptor._TABLE_MERGE_MAX_LEVEL
         for n in (top, top + 1):
             result = build(sort_clauses(random_formula(n, 3, 1)))
             assert result.ok and len(result.trace.steps) == 3
-        assert calls == [("_merge_clause_tables", top)] * 3 + [("_merge_clause", top + 1)] * 3
+        assert calls == [("_substitute_tables", top)] * 3 + [("_substitute_polys", top + 1)] * 3
         calls.clear()
         clause = Clause3.from_signed((1, -2, 3))
         assert merge(identity_descriptor(top), clause) == clause_descriptor(clause, top)
         assert merge(identity_descriptor(top + 1), clause) == clause_descriptor(clause, top + 1)
-        assert calls == [("_merge_clause_tables", top), ("_merge_clause", top + 1)]
+        assert calls == [("_substitute_tables", top), ("_substitute_polys", top + 1)]
 
     def test_small_cap_raises_alike_on_both_paths(self, monkeypatch):
         from anf_sat_lab.errors import ResourceCap
@@ -420,6 +426,7 @@ class TestTableFold:
                 got = first_cap(sf, cap)
                 with monkeypatch.context() as m:
                     m.setattr(descriptor, "_on_tables", lambda n: False)
+                    m.setattr(descriptor, "_merge_clause", reference_merge_clause)
                     want = first_cap(sf, cap)
                     want_build = build(sf, cap=cap)
                 assert got == want, (seed, cap)
@@ -452,7 +459,8 @@ def twin_pairs() -> tuple[tuple[Descriptor, Descriptor], ...]:
         for cap in (4, 16, descriptor.DEFAULT_LEN_CAP):
             h = build(sf, cap=cap).descriptor
             if h is not None:
-                with mock.patch.object(descriptor, "_on_tables", lambda n: False):
+                with mock.patch.object(descriptor, "_on_tables", lambda n: False), \
+                        mock.patch.object(descriptor, "_merge_clause", reference_merge_clause):
                     pairs.append((h, build(sf, cap=cap).descriptor))
     return tuple(pairs)
 
@@ -632,6 +640,22 @@ class TestTracePinned:
         assert cascades == 37
         assert hashlib.sha256("".join(text).encode()).hexdigest() == (
             "df892edcae57e6794d6e422e3e2496667ea1374c178b3979287b146ea004ecef"
+        )
+
+    def test_capped_sparse_builds_pinned(self):
+        # Above the table gate a capped build keeps the entries before the step that hit the cap.
+        text, statuses = [], []
+        for n in (21, 24):
+            for m in (10, 15):
+                for seed in (1, 2):
+                    for cap in (4, 16, 64):
+                        result = build(sort_clauses(random_formula(n, m, seed)), cap=cap)
+                        statuses.append(result.status)
+                        text.append(json.dumps(result.descriptor.to_json()) + "\n")
+                        text.append(trace_record(result.status, result.capped_at, result.trace))
+        assert (statuses.count("capped"), statuses.count("ok")) == (22, 2)
+        assert hashlib.sha256("".join(text).encode()).hexdigest() == (
+            "63ad959cc3820fe2672e02c7c36a13ac91fec48601f14fd0b1ce18df7338cbe3"
         )
 
     def test_merge_chain_to_unsat_pinned(self):
