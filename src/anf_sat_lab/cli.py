@@ -22,7 +22,7 @@ from .cnf import Formula, parse_dimacs, formula_to_json, sort_clauses, to_dimacs
 from .coeffs import DEFAULT_FRONTIER_CAP, CoefficientQuery, decide_sat_bounded
 from .descriptor import DEFAULT_LEN_CAP, Descriptor, build, profile_csv
 from .errors import AnfSatError, GenerationError, ResourceCap
-from .falsify import CLAIM_IDS, check_campaign, falsify
+from .falsify import CLAIM_IDS, check_campaign, falsify, write_reports
 from .indicator import (
     DEFAULT_TERM_CAP,
     factor_sequence,
@@ -257,18 +257,15 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
-    try:
-        reports, stats = falsify(
-            claims,
-            count=args.count,
-            n=args.n,
-            ratio=args.ratio,
-            seed=args.seed,
-            report_dir=args.report_dir,
-        )
-    except OSError as exc:
-        sys.stderr.write(f"cannot write {args.report_dir}: {exc}\n")
-        return EXIT_IO
+    reports, stats = falsify(
+        claims, count=args.count, n=args.n, ratio=args.ratio, seed=args.seed
+    )
+    if args.report_dir is not None and reports:
+        try:  # only the report files map to EXIT_IO; an OSError of the campaign propagates
+            write_reports(reports, args.report_dir)
+        except OSError as exc:
+            sys.stderr.write(f"cannot write {args.report_dir}: {exc}\n")
+            return EXIT_IO
     payload = {
         "instances": stats.instances,
         "divergences": stats.divergences,

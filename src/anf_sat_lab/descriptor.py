@@ -248,50 +248,17 @@ class MergeStep:
         return len(self.chain)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MergeTrace:
-    """Accumulated merge steps plus the derived predecessor structure."""
+    """The merge steps of one build plus the derived predecessor structure."""
 
-    n: int
-    steps: list[MergeStep] = field(default_factory=list)
-    pred_edges: set[tuple[int, int]] = field(default_factory=set)  # (from, to), to < from
-    formula: Optional[SortedFormula] = None
+    formula: SortedFormula
+    steps: tuple[MergeStep, ...]
+    pred_edges: frozenset[tuple[int, int]]  # (from, to), to < from
 
-    def record(
-        self, clause: Clause3, chain: tuple[int, ...], before: list, after: Optional[list]
-    ) -> None:
-        """Append the step that merged ``clause`` into ``before``; ``after`` None is unsat."""
-        if after is None or chain:
-            situation = "C"
-        elif after == before:
-            situation = "A"
-        else:
-            situation = "B"
-        step = len(self.steps) + 1
-        lens = self._measure(before if after is None else after)
-        self.steps.append(
-            MergeStep(step, step, clause.t, situation, chain, lens, unsat=after is None)
-        )
-        for name in ("_preds", "_w_stars"):  # a new edge can widen any P and W*
-            self.__dict__.pop(name, None)
-        prev = clause.t
-        for j in chain:
-            self.pred_edges.add((prev, j))
-            prev = j
-
-    def _measure(self, entries: list) -> tuple[int, ...]:
-        """len(h_i) of each entry; those equal to the last measured keep their length.
-
-        The last measured entries and their lengths live outside the fields,
-        so they take no part in equality or repr.
-        """
-        old, old_lens = self.__dict__.get("_measured", ((), ()))
-        lens = tuple(
-            old_lens[l - 1] if l <= len(old) and entry == old[l - 1] else _entry_len(entry, l)
-            for l, entry in enumerate(entries, start=1)
-        )
-        self._measured = (entries, lens)
-        return lens
+    @property
+    def n(self) -> int:
+        return self.formula.n
 
     @cached_property
     def _preds(self) -> dict[int, frozenset[int]]:
@@ -307,8 +274,6 @@ class MergeTrace:
 
     @cached_property
     def _sets(self) -> StaticSets:
-        if self.formula is None:
-            raise InvariantViolation("trace has no formula attached")
         return static_sets(self.formula)
 
     @cached_property
@@ -330,11 +295,18 @@ class MergeTrace:
 
 @dataclass(frozen=True)
 class BuildResult:
-    """Outcome of folding a formula's clauses into one descriptor."""
+    """Outcome of folding a formula's clauses into one descriptor.
+
+    It keeps what the fold passed through; ``trace`` classifies and
+    measures those steps on first read.
+    """
 
     status: str  # 'ok' | 'unsat' | 'capped'
     descriptor: Optional[Descriptor]
-    trace: MergeTrace
+    formula: SortedFormula
+    chains: tuple[tuple[int, ...], ...]  # cascade levels of each merged clause
+    # The entries before the first merge and after each merge, None for UNSAT.
+    states: tuple[Optional[list], ...] = field(repr=False, compare=False)
     capped_at: Optional[tuple[int, int]] = None  # (level, len) when capped
 
     @property
@@ -348,6 +320,34 @@ class BuildResult:
     @property
     def capped(self) -> bool:
         return self.status == "capped"
+
+    @cached_property
+    def trace(self) -> MergeTrace:
+        """One MergeStep per merged clause; step k merged ``states[k-1]`` into ``states[k]``.
+
+        An entry equal to the same entry before the step keeps its length;
+        an UNSAT step keeps the lengths before it.
+        """
+        steps, edges = [], set()
+        before = self.states[0]
+        lens = tuple(_entry_len(entry, l) for l, entry in enumerate(before, start=1))
+        merged = zip(self.formula.clauses, self.chains, self.states[1:])
+        for k, (clause, chain, after) in enumerate(merged, start=1):
+            if after is None or chain:
+                situation = "C"
+            elif after == before:
+                situation = "A"
+            else:
+                situation = "B"
+            if after is not None:
+                lens = tuple(
+                    size if entry == old else _entry_len(entry, l)
+                    for l, (entry, old, size) in enumerate(zip(after, before, lens), start=1)
+                )
+            steps.append(MergeStep(k, k, clause.t, situation, chain, lens, unsat=after is None))
+            edges.update(zip((clause.t, *chain), chain))
+            before = after
+        return MergeTrace(self.formula, tuple(steps), frozenset(edges))
 
 
 def _check_cap(entry: AnfPoly | int, l: int, cap: int) -> None:
@@ -370,6 +370,7 @@ def _merge_clause(
     (h list, cascade chain), with h None when a residual degenerates to the
     constant 1.  Raises ResourceCap when an entry outgrows the cap.
     """
+    _check_clause_fits(clause, n)
     tables = _on_tables(n)
     if tables:
         merge_level, top, lift, substitute = _merge_level, _table_top, widen, _substitute_tables
@@ -501,36 +502,15 @@ def _entry_len(entry: AnfPoly | int, l: int) -> int:
 
 
 def _descriptor(entries: list, n: int) -> Descriptor:
-    """The descriptor of entries held as ``_merge_step`` holds them."""
+    """The descriptor of entries held as ``_merge_clause`` holds them."""
     if _on_tables(n):
         return Descriptor.from_tables(n, entries)
     return Descriptor(n=n, h=tuple(entries))
 
 
-def _merge_step(
-    entries: list, clause: Clause3, n: int, cap: int, trace: Optional[MergeTrace]
-) -> Optional[list]:
-    """Merge one clause into entries (tables when ``_on_tables(n)``).
-
-    Returns the merged entries, None when the result is unsatisfiable, and
-    records the step when a trace is given.
-    """
-    _check_clause_fits(clause, n)
-    h, chain = _merge_clause(list(entries), clause, n, cap)
-    if trace is not None:
-        trace.record(clause, chain, entries, h)
-    return h
-
-
-def merge(
-    f: Descriptor,
-    clause: Clause3,
-    trace: Optional[MergeTrace] = None,
-    *,
-    cap: int = DEFAULT_LEN_CAP,
-) -> Optional[Descriptor]:
+def merge(f: Descriptor, clause: Clause3, *, cap: int = DEFAULT_LEN_CAP) -> Optional[Descriptor]:
     """Merge one clause into a descriptor; None signals an unsatisfiable result."""
-    h = _merge_step(list(f.tables if _on_tables(f.n) else f.h), clause, f.n, cap, trace)
+    h, _ = _merge_clause(list(f.tables if _on_tables(f.n) else f.h), clause, f.n, cap)
     return None if h is None else _descriptor(h, f.n)
 
 
@@ -540,22 +520,23 @@ def build(
     cap: int = DEFAULT_LEN_CAP,
 ) -> BuildResult:
     """Fold all clauses of a sorted formula into a single descriptor."""
-    trace = MergeTrace(n=f.n, formula=f)
-    entries = list(_units(f.n, _on_tables(f.n))[0][1:])
+    states: list[Optional[list]] = [list(_units(f.n, _on_tables(f.n))[0][1:])]
+    chains: list[tuple[int, ...]] = []
+    status, capped_at = "ok", None
     for clause in f.clauses:
         try:
-            h = _merge_step(entries, clause, f.n, cap, trace)
+            h, chain = _merge_clause(list(states[-1]), clause, f.n, cap)
         except ResourceCap as exc:
-            return BuildResult(
-                status="capped",
-                descriptor=_descriptor(entries, f.n),
-                trace=trace,
-                capped_at=(int(exc.where), exc.size),
-            )
+            status, capped_at = "capped", (int(exc.where), exc.size)
+            break
+        states.append(h)
+        chains.append(chain)
         if h is None:
-            return BuildResult(status="unsat", descriptor=None, trace=trace)
-        entries = h
-    return BuildResult(status="ok", descriptor=_descriptor(entries, f.n), trace=trace)
+            status = "unsat"
+            break
+    entries = states[-1]
+    descriptor = None if entries is None else _descriptor(entries, f.n)
+    return BuildResult(status, descriptor, f, tuple(chains), tuple(states), capped_at)
 
 
 def profile_csv(trace: MergeTrace) -> str:
@@ -576,14 +557,13 @@ def profile_csv(trace: MergeTrace) -> str:
         lines.append(
             f"{s.step},{s.clause_index},{s.t},{ln},{log2},{s.situation},{s.recursion_depth}"
         )
-    if trace.formula is not None:
-        lines.append("# predecessors and windows")
-        lines.append("t,P,V,W_star,W")
-        sets = trace._sets
-        for t in range(1, trace.n + 1):
-            p = ";".join(str(j) for j in sorted(trace.predecessors(t)))
-            v = ";".join(str(j) for j in sorted(sets.v[t]))
-            ws = ";".join(str(j) for j in sorted(trace.w_star(t)))
-            w = ";".join(str(j) for j in sorted(trace.w(t)))
-            lines.append(f"{t},{p},{v},{ws},{w}")
+    lines.append("# predecessors and windows")
+    lines.append("t,P,V,W_star,W")
+    sets = trace._sets
+    for t in range(1, trace.n + 1):
+        p = ";".join(str(j) for j in sorted(trace.predecessors(t)))
+        v = ";".join(str(j) for j in sorted(sets.v[t]))
+        ws = ";".join(str(j) for j in sorted(trace.w_star(t)))
+        w = ";".join(str(j) for j in sorted(trace.w(t)))
+        lines.append(f"{t},{p},{v},{ws},{w}")
     return "\n".join(lines) + "\n"

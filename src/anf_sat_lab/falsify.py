@@ -39,6 +39,7 @@ __all__ = [
     "falsify",
     "minimize_formula",
     "compact_variables",
+    "write_reports",
 ]
 
 @dataclass(frozen=True)
@@ -284,11 +285,12 @@ def falsify(
                 )
             )
     if report_dir is not None and reports:
-        _write_reports(reports, report_dir)
+        write_reports(reports, report_dir)
     return reports, stats
 
 
-def _write_reports(reports: list[FalsificationReport], report_dir: str) -> None:
+def write_reports(reports: list[FalsificationReport], report_dir: str) -> None:
+    """Write ``reports.jsonl`` and each report's minimized DIMACS into report_dir."""
     os.makedirs(report_dir, exist_ok=True)
     lines_path = os.path.join(report_dir, "reports.jsonl")
     with open(lines_path, "w", encoding="utf-8") as fh:

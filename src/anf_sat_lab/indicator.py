@@ -108,7 +108,7 @@ def _one_sided_entry(group: SortedFormula, t: int, *, positive: bool) -> AnfPoly
             f"one-sided group at t={t} did not build cleanly: {result.status}"
         )
     assert result.descriptor is not None
-    if any(s.chain for s in result.trace.steps):
+    if any(result.chains):
         raise Property2Violation(f"one-sided group at t={t} triggered a cascade")
     h = result.descriptor
     for i in range(1, group.n + 1):

@@ -503,6 +503,20 @@ class TestEngineBugExit:
             assert exc.value is planted
             assert capsys.readouterr().out == ""
 
+    def test_falsify_campaign_os_error_is_no_io_error(self, monkeypatch, capsys, tmp_path):
+        # Only writing the reports exits 74; an OSError raised inside the
+        # campaign leaves main as it was raised.
+        import anf_sat_lab.falsify as fz
+
+        planted = FileNotFoundError("planted in a checker")
+        monkeypatch.setitem(fz._CHECKERS, "SWEEP_DECIDES", _raiser(planted))
+        argv = ["falsify", "--count", "1", "--n", "7", "--claims", "SWEEP_DECIDES"]
+        with pytest.raises(FileNotFoundError) as exc:
+            main([*argv, "--report-dir", str(tmp_path / "reports")])
+        assert exc.value is planted
+        assert capsys.readouterr() == ("", "")
+        assert not (tmp_path / "reports").exists()
+
     def test_falsify_minimizer_exits_70(self, monkeypatch, capsys):
         import anf_sat_lab.falsify as fz
         from anf_sat_lab.errors import InvariantViolation

@@ -17,7 +17,6 @@ from anf_sat_lab import descriptor
 from anf_sat_lab.descriptor import (
     PROFILE_HEADER,
     Descriptor,
-    MergeTrace,
     build,
     clause_descriptor,
     identity_descriptor,
@@ -311,9 +310,13 @@ class TestTraceAndProfile:
             assert max(step.lens) <= 8
 
     def test_empty_trace_header_only(self):
-        text = profile_csv(MergeTrace(n=0))
-        assert text.splitlines()[0] == PROFILE_HEADER
-        assert len(text.splitlines()) == 2
+        text = profile_csv(build(sort_clauses(Formula(n=0, clauses=()))).trace)
+        assert text.splitlines() == [
+            PROFILE_HEADER,
+            "step,clause_index,t,len_h_t,log2_len_h_t,situation,recursion_depth",
+            "# predecessors and windows",
+            "t,P,V,W_star,W",
+        ]
 
     def test_w_of_n_equals_v_of_n(self):
         from anf_sat_lab.cnf import static_sets
@@ -372,15 +375,13 @@ class TestTableFold:
         for seed in range(1, 9):
             sf = sort_clauses(random_formula(9, 38, seed))
             current = identity_descriptor(9)
-            tables, sparse = MergeTrace(n=9), MergeTrace(n=9)
             for pos, clause in enumerate(sf.clauses, start=1):
-                got = merge(current, clause, tables)
+                got = merge(current, clause)
                 with monkeypatch.context() as m:
                     m.setattr(descriptor, "_on_tables", lambda n: False)
                     m.setattr(descriptor, "_merge_clause", reference_merge_clause)
-                    want = merge(current, clause, sparse)
-                assert got == want and tables == sparse, (seed, pos)
-                assert merge(current, clause) == got  # no trace, no lengths measured
+                    want = merge(current, clause)
+                assert got == want, (seed, pos)
                 if got is None:
                     break
                 current = got
@@ -659,13 +660,9 @@ class TestTracePinned:
         )
 
     def test_merge_chain_to_unsat_pinned(self):
-        sf = sort_clauses(random_formula(8, 60, 2))
-        current, trace = identity_descriptor(8), MergeTrace(n=8)
-        for pos, clause in enumerate(sf.clauses, start=1):
-            current = merge(current, clause, trace)
-            if current is None:
-                break
-        assert current is None and trace.steps[-1].unsat
+        result = build(sort_clauses(random_formula(8, 60, 2)))
+        trace = result.trace
+        assert result.unsat and trace.steps[-1].unsat
         assert {step.situation for step in trace.steps} == {"A", "B", "C"}
         assert hashlib.sha256(trace_record("unsat", None, trace).encode()).hexdigest() == (
             "1a44d23a6d47637071f1f93f02a69bd68783948fb972174d0792477a617277ce"
@@ -673,28 +670,7 @@ class TestTracePinned:
 
 
 class TestTraceBooks:
-    """The trace numbers its own steps and measures the lengths it records."""
-
-    def test_shared_trace_measures_unrelated_merges(self):
-        # Two chains take turns, so each merge starts from entries the trace did not see last.
-        chains = [[identity_descriptor(8), sort_clauses(random_formula(8, 40, s)).clauses]
-                  for s in (1, 4)]
-        trace = MergeTrace(n=8)
-        for pos in range(40):
-            for chain in chains:
-                current, clauses = chain
-                if current is None:
-                    continue
-                result = merge(current, clauses[pos], trace)
-                measured = current if result is None else result
-                want = tuple(len(measured.entry(i)) for i in range(1, 9))
-                assert trace.steps[-1].lens == want, pos
-                chain[0] = result
-        assert [current is None for current, _ in chains] == [False, True]  # seed 4 is UNSAT
-        assert {step.situation for step in trace.steps} == {"A", "B", "C"}
-        assert [(s.step, s.clause_index) for s in trace.steps] == [
-            (pos, pos) for pos in range(1, len(trace.steps) + 1)
-        ]
+    """A build's trace numbers its steps and measures their lengths when it is read."""
 
     def test_build_numbers_steps_by_position(self):
         statuses = set()
@@ -716,3 +692,16 @@ class TestTraceBooks:
         monkeypatch.setattr(descriptor, "_table_len", spy)
         result = build(sort_clauses(random_formula(10, 43, 1)))
         assert result.trace.steps and measured and not any(measured)
+
+    def test_build_measures_nothing_until_its_trace_is_read(self, monkeypatch):
+        calls = []
+        real = descriptor._entry_len
+
+        def spy(entry, l):
+            calls.append(l)
+            return real(entry, l)
+
+        monkeypatch.setattr(descriptor, "_entry_len", spy)
+        result = build(sort_clauses(random_formula(10, 43, 1)))
+        assert result.ok and calls == []
+        assert len(result.trace.steps) == 43 and calls

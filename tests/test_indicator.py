@@ -8,7 +8,6 @@ from anf_sat_lab.cnf import Clause3, Formula, SortedFormula, parse_dimacs, sort_
 from anf_sat_lab.descriptor import (
     BuildResult,
     Descriptor,
-    MergeTrace,
     build,
     identity_descriptor,
 )
@@ -244,6 +243,8 @@ class TestOneSidedChecks:
             (("a1", "a2", "a3 + a1*a3", "a4"), False, None),
             (("a1", "a2", "1 + a1 + a1*a3", "a4"), True, None),
             (("1", "a2", "a3", "a4"), True, "one-sided group at t=3 disturbed entry 1"),
+            # a cascade is reported before any entry is read
+            (("1", "a2", "a3", "a4"), True, "one-sided group at t=3 triggered a cascade"),
         ],
     )
     def test_messages(self, monkeypatch, on_tables, entries, positive, message):
@@ -253,9 +254,11 @@ class TestOneSidedChecks:
         else:
             monkeypatch.setattr(descriptor, "_on_tables", lambda n: False)
             h = Descriptor(4, polys)
-        result = BuildResult(status="ok", descriptor=h, trace=MergeTrace(n=4))
-        monkeypatch.setattr(indicator, "build", lambda group: result)
         group = SortedFormula(n=4, clauses=(Clause3.from_signed((1, 2, 3)),))
+        # the planted build of two clauses cascades only in the case that reports it
+        chains = ((), (2,)) if message and "cascade" in message else ((),)
+        result = BuildResult("ok", h, group, chains=chains, states=())
+        monkeypatch.setattr(indicator, "build", lambda group: result)
         if message is None:
             assert indicator._one_sided_entry(group, 3, positive=positive) == polys[2]
         else:
