@@ -13,6 +13,7 @@ Property2Violation), 74 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -278,6 +279,7 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
     return EXIT_FINDINGS if reports else EXIT_OK
 
 
+@functools.cache  # one per process: parse_args leaves it as it was, and callers only read it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="anf-sat-lab", description=__doc__)
     parser.add_argument("--threads", type=int, default=1, help="accepted for interface compatibility; computation is deterministic and single-threaded")
@@ -290,26 +292,26 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("parse", help="validate DIMACS and emit JSON or normalized DIMACS")
     add_common(p)
-    p.add_argument("--emit", choices=("json", "dimacs"), default="json")
+    p.add_argument("--emit", choices=("json", "dimacs"), default="json", help="output form: JSON, or normalized DIMACS (comments dropped, each clause's literals in ascending variable order)")
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("build", help="build the descriptor of a formula")
     add_common(p)
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_LEN_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_LEN_CAP, help="length cap of every descriptor entry; when hit, the JSON has status 'capped' and 'capped_at' [level, len], and the exit code is 30")
     p.add_argument("--trace", default=None, help="write the profile CSV here")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("enumerate", help="list solutions via the prefix tree")
     add_common(p)
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_LEN_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_LEN_CAP, help="length cap of the descriptor build; exit 30 when hit")
     p.add_argument("--max-solutions", type=_positive_int, default=None, help="cap on the fixed points visited; those that are not solutions are dropped and counted ('c' line, JSON key 'dropped')")
-    p.add_argument("--max-nodes", type=_positive_int, default=None)
-    p.add_argument("--emit", choices=("v", "json"), default="v")
+    p.add_argument("--max-nodes", type=_positive_int, default=None, help="cap on the prefix-tree nodes visited; when hit, the solutions found so far are printed as truncated ('c N solutions (truncated)', JSON key 'truncated') and the exit code is still 0")
+    p.add_argument("--emit", choices=("v", "json"), default="v", help="output form: DIMACS-style 'v' lines with a 'c' count line, or JSON")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("indicator", help="expand an indicator polynomial")
     add_common(p)
-    p.add_argument("--mode", choices=MODES, default="gf2")
+    p.add_argument("--mode", choices=MODES, default="gf2", help="coefficient ring: GF(2), or the integers")
     p.add_argument("--form", choices=("clauses", "descriptor", "factors"), default="clauses", help="'descriptor' expands the indicator of the descriptor's fixed points, a superset of the solutions (GF(2) only)")
     p.add_argument(
         "--cap",
@@ -324,30 +326,30 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("coeff", help="query one product coefficient")
     add_common(p)
     p.add_argument("--delta", default="top", help="comma-separated 0/1 vector or 'top'")
-    p.add_argument("--mode", choices=MODES, default="gf2")
-    p.add_argument("--frontier-cap", type=_positive_int, default=DEFAULT_FRONTIER_CAP)
+    p.add_argument("--mode", choices=MODES, default="gf2", help="coefficient ring of the product: GF(2), or the integers")
+    p.add_argument("--frontier-cap", type=_positive_int, default=DEFAULT_FRONTIER_CAP, help="cap on the masks memoized at one level of the coefficient recursion; exit 30 when hit")
     p.set_defaults(func=_cmd_coeff)
 
     p = sub.add_parser("decide", help="bounded-solution satisfiability verdict")
     add_common(p)
     p.add_argument("--k", type=_nonnegative_int, required=True, help="assume #solutions <= 2^k")
-    p.add_argument("--mode", choices=MODES, default="gf2")
-    p.add_argument("--frontier-cap", type=_positive_int, default=DEFAULT_FRONTIER_CAP)
+    p.add_argument("--mode", choices=MODES, default="gf2", help="coefficient ring of the product: GF(2), or the integers; both decide by the coefficient's parity, so the verdict is the same")
+    p.add_argument("--frontier-cap", type=_positive_int, default=DEFAULT_FRONTIER_CAP, help="cap on the masks memoized at one level of the coefficient recursion; exit 30 when hit")
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("profile", help="build and emit the merge profile CSV")
     add_common(p)
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_LEN_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_LEN_CAP, help="length cap of the build; when hit, the CSV holds the steps before the cap and the exit code is 30")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("falsify", help="hunt for counterexamples to monitored claims")
     add_common(p, needs_input=False)
     p.add_argument("--claims", default="all", help="'all' or comma-separated claim ids")
-    p.add_argument("--count", type=_positive_int, default=500)
-    p.add_argument("--n", type=_positive_int, default=12)
+    p.add_argument("--count", type=_positive_int, default=500, help="number of random instances")
+    p.add_argument("--n", type=_positive_int, default=12, help="variables per instance")
     p.add_argument("--ratio", type=_positive_float, default=4.26, help="clauses per variable; each instance has max(1, round(ratio * n)) clauses")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report-dir", default=None)
+    p.add_argument("--seed", type=int, default=0, help="seed of the first instance; instance i uses seed + i")
+    p.add_argument("--report-dir", default=None, help="when there are findings, write reports.jsonl and each finding's minimized DIMACS here")
     p.set_defaults(func=_cmd_falsify)
 
     return parser

@@ -43,12 +43,6 @@ class Literal(NamedTuple):
     def signed(self) -> int:
         return -self.var if self.negated else self.var
 
-    @classmethod
-    def from_signed(cls, lit: int) -> "Literal":
-        if lit == 0:
-            raise ValueError("literal 0 is reserved as the clause terminator")
-        return cls(abs(lit), lit < 0)
-
 
 @dataclass(frozen=True)
 class Clause3:
@@ -63,16 +57,18 @@ class Clause3:
 
     @classmethod
     def from_signed(cls, lits: Iterable[int]) -> "Clause3":
-        parsed = [Literal.from_signed(l) for l in lits]
-        if len(parsed) != 3:
-            raise MalformedClause(f"clause must have exactly 3 literals, got {len(parsed)}")
-        parsed.sort(key=lambda l: l.var)
-        if len({l.var for l in parsed}) != 3:
+        signed = sorted(lits, key=abs)  # stable: a repeated variable keeps input order
+        if 0 in signed:
+            raise ValueError("literal 0 is reserved as the clause terminator")
+        if len(signed) != 3:
+            raise MalformedClause(f"clause must have exactly 3 literals, got {len(signed)}")
+        a, b, c = signed
+        if not abs(a) < abs(b) < abs(c):
             raise MalformedClause(
                 "clause mentions a variable twice (duplicate literal or tautology): "
-                + " ".join(str(l.signed) for l in parsed)
+                + " ".join(map(str, signed))
             )
-        return cls((parsed[0], parsed[1], parsed[2]))
+        return cls((Literal(abs(a), a < 0), Literal(abs(b), b < 0), Literal(abs(c), c < 0)))
 
     @property
     def r(self) -> int:

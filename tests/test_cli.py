@@ -42,6 +42,16 @@ def run_main(argv, capsys):
     return code, out.out, out.err
 
 
+def run_caught(argv, capsys):
+    """run_main with argparse's exits caught: their code is the exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 class TestParse:
     def test_json_output(self, two_cnf, capsys):
         code, out, _ = run_main(["parse", two_cnf], capsys)
@@ -697,7 +707,8 @@ def readme_exit_codes():
 
 def value_flags():
     """(subcommand, its parser, action) for every flag that takes a value;
-    the subcommand is None for the top-level flags."""
+    the subcommand is None for the top-level flags.  The parser is the one
+    main() shares between calls, so callers only read it."""
     from anf_sat_lab import cli
 
     parser = cli._build_parser()
@@ -737,11 +748,7 @@ class TestFailureContract:
                 suffix = []
             for value in [below_a_file] if flag in self.PATH_FLAGS else ["0", "-1", "x"]:
                 argv = [*prefix, flag, value, *suffix]
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-                out, err = capsys.readouterr()
+                code, out, err = run_caught(argv, capsys)
                 assert code in codes, (argv, code, err)
                 assert "Traceback" not in err, argv
                 if code in (EXIT_USAGE, EXIT_SOFTWARE, EXIT_IO) or err:
@@ -754,3 +761,56 @@ class TestFailureContract:
 
         modes = {name: tuple(a.choices) for name, _, a in value_flags() if a.dest == "mode"}
         assert modes == {name: MODES for name in ("indicator", "coeff", "decide")}
+
+    def test_every_value_flag_has_help(self):
+        bare = [(name, a.option_strings[-1]) for name, _, a in value_flags() if not a.help]
+        assert bare == []
+
+
+class TestSharedParser:
+    """main() builds its parser on the first call and reuses it, so a call's
+    bytes must not depend on the calls before it."""
+
+    @staticmethod
+    def _sequence(two_cnf):
+        return [
+            ["enumerate", two_cnf, "--emit", "json", "--max-nodes", "3", "--cap", "8"],
+            ["enumerate", two_cnf],  # the same subcommand, back to its defaults
+            ["decide", "--k", "2", "--mode", "int", "--frontier-cap", "5", two_cnf],  # capped
+            ["decide", "--k", "-1", two_cnf],
+            ["decide", "--k", "2", two_cnf],
+            ["--help"],
+            ["enumerate", "--help"],
+            [],
+            ["falsify", "--ratio", "nan"],
+            ["falsify", "--count", "1", "--n", "5", "--seed", "3"],
+            ["falsify", "--count", "1", "--n", "5"],
+        ]
+
+    def test_calls_match_a_fresh_parser(self, two_cnf, capsys, monkeypatch):
+        from anf_sat_lab import cli
+
+        monkeypatch.setenv("COLUMNS", "80")
+        sequence = self._sequence(two_cnf)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            want = [run_caught(argv, capsys) for argv in sequence]
+        assert [code for code, _, _ in want] == [0, 0, 30, 64, 10, 0, 0, 64, 64, 2, 2]
+        for order in (sequence, sequence[::-1]):
+            for argv in order:
+                assert run_caught(argv, capsys) == want[sequence.index(argv)], argv
+
+    def test_one_parser_per_process(self):
+        from anf_sat_lab import cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_help_wraps_to_the_columns_of_the_call(self, capsys, monkeypatch):
+        helps = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = run_caught(["enumerate", "--help"], capsys)
+            assert code == 0
+            helps.append(out)
+        narrow, wide = helps
+        assert len(narrow.splitlines()) > len(wide.splitlines())

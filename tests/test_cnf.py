@@ -93,6 +93,31 @@ class TestParse:
             assert {a << 1 for a in range(1 << n) if f.eval_mask(a << 1)} == want
 
 
+class TestClauseErrors:
+    """The messages `parse error:` prints; a literal 0 is checked before the
+    count, and the count before a repeated variable."""
+
+    @pytest.mark.parametrize(
+        "lits, exc, message",
+        [
+            ((1, 0, 2), ValueError, "literal 0 is reserved as the clause terminator"),
+            ((0,), ValueError, "literal 0 is reserved as the clause terminator"),
+            ((1, 2, 3, 0), ValueError, "literal 0 is reserved as the clause terminator"),
+            ((1, 1, 0), ValueError, "literal 0 is reserved as the clause terminator"),
+            ((), MalformedClause, "clause must have exactly 3 literals, got 0"),
+            ((1, 2), MalformedClause, "clause must have exactly 3 literals, got 2"),
+            ((1, 1, 2, 3), MalformedClause, "clause must have exactly 3 literals, got 4"),
+            ((2, -1, 1), MalformedClause, "clause mentions a variable twice (duplicate literal or tautology): -1 1 2"),
+            ((-2, 1, 2), MalformedClause, "clause mentions a variable twice (duplicate literal or tautology): 1 -2 2"),
+            ((3, 3, 1), MalformedClause, "clause mentions a variable twice (duplicate literal or tautology): 1 3 3"),
+        ],
+    )
+    def test_message(self, lits, exc, message):
+        with pytest.raises(exc) as info:
+            Clause3.from_signed(iter(lits))
+        assert type(info.value) is exc and str(info.value) == message
+
+
 class TestRoundTrips:
     def test_dimacs_roundtrip(self):
         f = parse_dimacs(SIX_VAR)
