@@ -2,18 +2,19 @@
 
 A descriptor over n variables is a triangular vector [h_1 .. h_n] of GF(2)
 multilinear polynomials, h_i depending on a_1..a_i only.  Merging a clause
-into a descriptor runs a descending sweep l = n..1; at each level the four
-restrictions of the current entry and of the (composed) clause entry are
-combined, and a nonzero residual pushes a derived constraint onto a lower
-level, cascading until it vanishes.  A residual equal to the constant 1
-means the conjunction has no solution.
+combines the entry at its top level t with the clause's entry; a nonzero
+residual pushes a constraint down the cascade, one equal to 1 means no
+solution.  Elsewhere the clause entry is a_l, which keeps h_l with no residual
+unless h_l negates a_l (h_l(p, 0) = 1, h_l(p, 1) = 0 at a prefix p).  Merges
+and the substitution (it moves values between prefixes) never make a negating
+entry from others, so no fold does; ``merge`` rejects a descriptor with one.
 
-Up to ``_TABLE_MERGE_MAX_LEVEL`` variables the sweep holds each entry h_i as
+Up to ``_TABLE_MERGE_MAX_LEVEL`` variables the merge holds each entry h_i as
 its 2**i-bit truth table over a_1..a_i (bit ``a`` is the value at the
 assignment ``a << 1``, as in ``AnfPoly.truth_column``), and the resulting
 descriptor keeps those tables, converting an entry to a polynomial only when
 it is asked for.  Above it a table would need 2**n bits, so entries are
-sparse monomial sets.  The sweep is written once, in ``_merge_clause``; the
+sparse monomial sets.  The merge is written once, in ``_merge_clause``; the
 entry form only chooses its kernels: the level merge (``_merge_level`` or
 ``merge_poly``), the residual's top variable, the widening of a lower entry
 to level t, and the final substitution pass.
@@ -62,7 +63,7 @@ _TABLE_MERGE_MAX_LEVEL = 20
 
 @dataclass(frozen=True, eq=False, repr=False, init=False)
 class Descriptor:
-    """Triangular vector of polynomials; entry i may use variables 1..i.
+    """Triangular vector of polynomials; h_i may use a_1..a_i, and a fold's h_i never negates a_i.
 
     A descriptor built on tables (``from_tables``) holds entry i as its
     2**i-bit truth table over a_1..a_i and creates each ``AnfPoly`` entry on
@@ -363,12 +364,12 @@ def _merge_clause(
     n: int,
     cap: int,
 ) -> tuple[Optional[list], tuple[int, ...]]:
-    """Run the descending sweep for one clause.
+    """Merge one clause into ``f`` in place: level t, its cascade, then substitution.
 
-    Entries are truth tables when ``_on_tables(n)`` and sparse polynomials
-    otherwise; the form chooses the kernels, the sweep is the same.  Returns
-    (h list, cascade chain), with h None when a residual degenerates to the
-    constant 1.  Raises ResourceCap when an entry outgrows the cap.
+    ``f`` holds entries that never negate their own variable (module docstring),
+    as truth tables when ``_on_tables(n)`` and sparse polynomials otherwise.
+    Returns (h list, cascade chain), with h None when a residual degenerates
+    to the constant 1.  Raises ResourceCap when an entry it writes outgrows the cap.
     """
     _check_clause_fits(clause, n)
     tables = _on_tables(n)
@@ -378,39 +379,30 @@ def _merge_clause(
         merge_level, top, lift, substitute = merge_poly, _poly_top, _same, _substitute_polys
     var, one = _units(n, tables)
     t = clause.t
-    h: list = [None] * n
+    # a_t + the forbidden cube with a_v <- f_v below t
+    cube = one[t]
+    for lit, forbidden in zip(clause.lits, clause.forbidden_triple()):
+        column = var[t] if lit.var == t else lift(f[lit.var - 1], lit.var, t)
+        cube &= column if forbidden else one[t] ^ column
+    f[t - 1], residual = merge_level(f[t - 1], var[t] ^ cube, t)
+    if 1 << t > cap:  # len(h_l) <= 2**l at every level l
+        _check_cap(f[t - 1], t, cap)
     chain: list[int] = []
-    for l in range(n, 0, -1):
-        fl = f[l - 1]
-        gl = var[l]
-        if l == t:
-            # a_t + the forbidden cube with a_v <- f_v below t
-            cube = one[t]
-            for lit, forbidden in zip(clause.lits, clause.forbidden_triple()):
-                column = gl if lit.var == t else lift(f[lit.var - 1], lit.var, t)
-                cube &= column if forbidden else one[t] ^ column
-            gl ^= cube
-        elif fl == gl:  # identity merged with identity stays identity
-            h[l - 1] = fl
-            continue
-        h[l - 1], residual = merge_level(fl, gl, l)
-        if 1 << l > cap:  # len(h_l) <= 2**l, so smaller levels cannot exceed it
-            _check_cap(h[l - 1], l, cap)
-        width = l - 1  # the residual is over a_1..a_width
-        # Cascade: fold the residual constraint into ever-lower entries.
-        while residual:
-            if residual == one[width]:
-                return None, tuple(chain)
-            residual, j = top(residual, width)
-            if chain and j >= chain[-1]:
-                raise InvariantViolation(f"cascade level {j} does not decrease (chain {chain})")
-            chain.append(j)
-            f[j - 1], residual = merge_level(f[j - 1], residual ^ var[j], j)
-            if 1 << j > cap:
-                _check_cap(f[j - 1], j, cap)
-            width = j - 1
-    substitute(h, n, cap)
-    return h, tuple(chain)
+    width = t - 1  # the residual is over a_1..a_width
+    # Cascade: fold the residual constraint into ever-lower entries.
+    while residual:
+        if residual == one[width]:
+            return None, tuple(chain)
+        residual, j = top(residual, width)
+        if chain and j >= chain[-1]:
+            raise InvariantViolation(f"cascade level {j} does not decrease (chain {chain})")
+        chain.append(j)
+        f[j - 1], residual = merge_level(f[j - 1], residual ^ var[j], j)
+        if 1 << j > cap:
+            _check_cap(f[j - 1], j, cap)
+        width = j - 1
+    substitute(f, n, cap)
+    return f, tuple(chain)
 
 
 @cache
@@ -509,8 +501,18 @@ def _descriptor(entries: list, n: int) -> Descriptor:
 
 
 def merge(f: Descriptor, clause: Clause3, *, cap: int = DEFAULT_LEN_CAP) -> Optional[Descriptor]:
-    """Merge one clause into a descriptor; None signals an unsatisfiable result."""
-    h, _ = _merge_clause(list(f.tables if _on_tables(f.n) else f.h), clause, f.n, cap)
+    """Merge one clause into a descriptor; None signals an unsatisfiable result.
+
+    The cap bounds only the entries the merge writes.  An entry that negates
+    its own variable, which no fold makes, raises InvariantViolation.
+    """
+    tables = _on_tables(f.n)
+    entries = list(f.tables if tables else f.h)
+    merge_level, var = _merge_level if tables else merge_poly, _units(f.n, tables)[0]
+    # Merged with a_l, h_l leaves as residual the prefixes where it negates a_l.
+    if any(merge_level(h_l, var[l], l)[1] for l, h_l in enumerate(entries, start=1)):
+        raise InvariantViolation("an entry negates its own variable")
+    h, _ = _merge_clause(entries, clause, f.n, cap)
     return None if h is None else _descriptor(h, f.n)
 
 

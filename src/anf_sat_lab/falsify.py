@@ -237,7 +237,6 @@ def falsify(
     n: int,
     ratio: float,
     seed: int,
-    report_dir: Optional[str] = None,
 ) -> tuple[list[FalsificationReport], FalsifyStats]:
     """Run each claim over seeded random instances; minimize any divergence."""
     claim_list = check_campaign(claims, ratio)
@@ -284,8 +283,6 @@ def falsify(
                     got=final[1],
                 )
             )
-    if report_dir is not None and reports:
-        write_reports(reports, report_dir)
     return reports, stats
 
 

@@ -24,7 +24,7 @@ from anf_sat_lab.descriptor import (
     merge_poly,
     profile_csv,
 )
-from anf_sat_lab.errors import InvariantViolation
+from anf_sat_lab.errors import InvariantViolation, ResourceCap
 from anf_sat_lab.oracle import random_formula
 from anf_sat_lab.solutions import SearchStats, intersect_images, list_solutions
 
@@ -194,6 +194,68 @@ class TestMergePolyPaths:
         for sf in grid_formulas():
             build(sf)
         assert set(calls) == {"_merge_level"}
+
+
+def negates(table, l):
+    """Prefixes (as a table over a_1..a_{l-1}) where the entry's table maps a_l to 1 - a_l."""
+    half = 1 << (l - 1)
+    return table & ((1 << half) - 1) & ~(table >> half)
+
+
+class TestNonNegation:
+    """The lemma that lets a merge skip every level but the clause's top and its cascade."""
+
+    def test_case_table(self):
+        # On tables over a_1, bit 0 is the value at a_1 = 0 and bit 1 the value at a_1 = 1.
+        polys = {0b00: AnfPoly.zero(), 0b11: AnfPoly.one(), 0b10: P("a1"), 0b01: P("a1 + 1")}
+        a1 = 0b10
+        for f in (0b00, 0b11, 0b10):  # (f0, f1) = (0, 0), (1, 1), (0, 1)
+            for g in range(4):
+                h, residual = descriptor._merge_level(f, g, 1)
+                assert not negates(h, 1), (f, g)
+                h_poly, residual_poly = merge_poly(polys[f], polys[g], 1)
+                assert h_poly != polys[0b01], (f, g)
+                assert (h_poly.truth_column(1), residual_poly.truth_column(0)) == (h, residual)
+                if g == a1:
+                    assert (h, residual) == (f, 0)
+                    assert (h_poly, residual_poly) == (polys[f], AnfPoly.zero())
+
+    def test_merge_level_runs_at_top_and_cascade_only(self, monkeypatch):
+        calls = []
+        real = descriptor._merge_level
+
+        def spy(f, g, l):
+            calls.append(l)
+            return real(f, g, l)
+
+        monkeypatch.setattr(descriptor, "_merge_level", spy)
+        for seed in (1, 2, 3):
+            calls.clear()
+            result = build(sort_clauses(random_formula(10, 43, seed)))
+            assert result.ok
+            assert len(calls) == 43 + sum(map(len, result.chains)), seed
+            assert calls == [
+                level for clause, chain in zip(result.formula.clauses, result.chains)
+                for level in (clause.t, *chain)
+            ]
+
+    def test_merge_rejects_negating_entries(self, monkeypatch):
+        cases = (
+            (Descriptor(3, (P("a1 + 1"), P("a2"), P("a3"))), (1, 2, 3)),
+            (Descriptor(3, (P("a1"), P("a1 + a2 + 1"), P("a3"))), (-1, 2, 3)),
+        )
+        for h, signed in cases:
+            with pytest.raises(InvariantViolation, match="negates its own variable"):
+                merge(h, Clause3.from_signed(signed))
+            with on_polynomials(monkeypatch), pytest.raises(InvariantViolation):
+                merge(h, Clause3.from_signed(signed))
+
+    def test_cap_bounds_only_written_entries(self):
+        h = build(sort_clauses(random_formula(10, 43, 1))).descriptor
+        assert len(h.entry(10)) == 57
+        with pytest.raises(ResourceCap) as caught:
+            merge(h, Clause3.from_signed((1, 2, 3)), cap=4)
+        assert (caught.value.where, caught.value.size) == ("5", 5)
 
 
 class TestMerge:
@@ -619,6 +681,8 @@ class TestTracePinned:
                         result = build(sf, cap=cap)
                         statuses.add(result.status)
                         text.append(trace_record(result.status, result.capped_at, result.trace))
+                        for entries in filter(None, result.states):
+                            assert not any(negates(t, l) for l, t in enumerate(entries, start=1))
         assert statuses == {"ok", "unsat", "capped"}
         sparse = build(sort_clauses(random_formula(21, 14, 1)))  # above the table gate
         assert sparse.ok and any(step.chain for step in sparse.trace.steps)

@@ -11,6 +11,7 @@ from anf_sat_lab.falsify import (
     falsify,
     minimize_formula,
     verify_one_minimal,
+    write_reports,
 )
 from anf_sat_lab.oracle import random_formula
 
@@ -88,9 +89,8 @@ class TestCompactAndMinimize:
 
 class TestFalsifyRun:
     def test_deterministic_and_quiet_on_small_run(self, tmp_path):
-        reports_a, stats_a = falsify(
-            CLAIM_IDS, count=30, n=8, ratio=4.25, seed=77, report_dir=str(tmp_path / "r")
-        )
+        reports_a, stats_a = falsify(CLAIM_IDS, count=30, n=8, ratio=4.25, seed=77)
+        write_reports(reports_a, str(tmp_path / "r"))
         reports_b, stats_b = falsify(
             CLAIM_IDS, count=30, n=8, ratio=4.25, seed=77
         )
@@ -114,8 +114,8 @@ class TestFalsifyRun:
             n=5,
             ratio=1.0,
             seed=3,
-            report_dir=str(tmp_path),
         )
+        write_reports(reports, str(tmp_path))
         assert len(reports) == 1
         rep = reports[0]
         assert rep.expected == "expected-marker"
