@@ -51,8 +51,9 @@ class Clause3:
     lits: tuple[Literal, Literal, Literal]
 
     def __post_init__(self) -> None:
-        vs = [l.var for l in self.lits]
-        if len(self.lits) != 3 or not (vs[0] < vs[1] < vs[2]):
+        lits = self.lits
+        if len(lits) != 3 or not lits[0].var < lits[1].var < lits[2].var:
+            vs = [l.var for l in lits]
             raise MalformedClause(f"clause variables must satisfy r < s < t, got {vs}")
 
     @classmethod
@@ -151,8 +152,9 @@ class SortedFormula(Formula):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for a, b in zip(self.clauses, self.clauses[1:]):
-            if _sort_key(a) > _sort_key(b):
+        keys = list(map(_sort_key, self.clauses))
+        for a, b, key_a, key_b in zip(self.clauses, self.clauses[1:], keys, keys[1:]):
+            if key_a > key_b:
                 raise MalformedClause(
                     f"clauses {a.signed()} and {b.signed()} are out of order"
                 )

@@ -9,6 +9,31 @@ unless h_l negates a_l (h_l(p, 0) = 1, h_l(p, 1) = 0 at a prefix p).  Merges
 and the substitution (it moves values between prefixes) never make a negating
 entry from others, so no fold does; ``merge`` rejects a descriptor with one.
 
+The merge ends with a substitution pass: for i = 1..n it replaces a_i by h_i
+in every h_j, j > i.  Its output H' satisfies
+h'_j(alpha) = f_j(H'(alpha)_{<j}, alpha_j), f being the entries it started
+from.  No f_j negates a_j, so every map b -> f_j(p, b) is 0, 1 or b, hence
+idempotent, and by induction on j:
+
+- H' o H' = H', so the image of H' is its fixed-point set (Im H' = Fix H');
+- h'_j(alpha) = h'_j(H'(alpha)_{<j}, alpha_j): an entry reads its prefix
+  only through the lower entries.
+
+Both hold for every descriptor that a fold or ``merge`` returns.
+
+So a fold may skip most of the pass.  Let H be the descriptor a merge
+starts from (a fold's, so H o H = H) and beta be alpha with alpha_i replaced
+by h_i(alpha).  Then H(beta) = H(alpha): levels below i do not read
+alpha_i, level i gives g(g(alpha_i)) = g(alpha_i), and each level above
+reads H(beta) below it and its own variable.  So a_i -> h_i changes no
+function of H(alpha) and alpha_j (j != i).  An entry the merge left alone
+is such a function, and so is each entry it wrote: the t-entry's cube reads
+lower entries, and the level merge and the residuals act prefix by prefix
+on such functions.  So while h_i is H's entry and the pass has not changed
+h_j, a_i -> h_i is a no-op on h_j: the pass applies it only when the merge
+wrote h_i, or the pass itself has changed h_i or h_j.  The public ``merge``
+cannot assume H o H = H of its input and applies every pair.
+
 Up to ``_TABLE_MERGE_MAX_LEVEL`` variables the merge holds each entry h_i as
 its 2**i-bit truth table over a_1..a_i (bit ``a`` is the value at the
 assignment ``a << 1``, as in ``AnfPoly.truth_column``), and the resulting
@@ -25,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Optional, Sequence
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .anf import AnfPoly, all_ones_column, cube, moebius, set_bits, var_columns, widen
 from .cnf import Clause3, SortedFormula, StaticSets, static_sets
@@ -363,6 +388,8 @@ def _merge_clause(
     clause: Clause3,
     n: int,
     cap: int,
+    *,
+    composed: bool = True,
 ) -> tuple[Optional[list], tuple[int, ...]]:
     """Merge one clause into ``f`` in place: level t, its cascade, then substitution.
 
@@ -370,6 +397,11 @@ def _merge_clause(
     as truth tables when ``_on_tables(n)`` and sparse polynomials otherwise.
     Returns (h list, cascade chain), with h None when a residual degenerates
     to the constant 1.  Raises ResourceCap when an entry it writes outgrows the cap.
+
+    When ``composed`` (``f`` came from a fold, so H o H = H), the substitution
+    applies a_i -> h_i to h_j only if the merge wrote h_i or the pass changed
+    h_i or h_j; the module docstring shows the other pairs are no-ops.
+    Otherwise it applies every pair.
     """
     _check_clause_fits(clause, n)
     tables = _on_tables(n)
@@ -401,7 +433,7 @@ def _merge_clause(
         if 1 << j > cap:
             _check_cap(f[j - 1], j, cap)
         width = j - 1
-    substitute(f, n, cap)
+    substitute(f, n, cap, {t, *chain} if composed else range(1, n + 1))
     return f, tuple(chain)
 
 
@@ -441,16 +473,17 @@ def _same(poly: AnfPoly, k: int, n: int) -> AnfPoly:
     return poly
 
 
-def _substitute_tables(h: list[int], n: int, cap: int) -> None:
+def _substitute_tables(h: list[int], n: int, cap: int, written: Container[int]) -> None:
     """Final substitution pass on tables: a_i -> h_i is a mux between the cofactors."""
     columns = _columns_up_to(n)
-    for i in range(1, n + 1):
+    rewritten: set[int] = set()
+    for i, targets in _pairs(n, written, rewritten):
         hi = h[i - 1]
         if hi == columns[i][i]:
             continue
         shift = 1 << (i - 1)
         width = i  # hi is a table over a_1..a_width
-        for j in range(i + 1, n + 1):
+        for j in targets:
             hj = h[j - 1]
             at_one = hj & columns[j][i]
             r0 = hj ^ at_one
@@ -461,21 +494,43 @@ def _substitute_tables(h: list[int], n: int, cap: int) -> None:
                 width += 1
             r0 |= r0 << shift
             r1 = at_one | at_one >> shift
-            h[j - 1] = hj = r0 ^ (r0 ^ r1) & hi
+            h[j - 1] = new = r0 ^ (r0 ^ r1) & hi
+            if new != hj:
+                rewritten.add(j)
             if 1 << j > cap:
-                _check_cap(hj, j, cap)
+                _check_cap(new, j, cap)
 
 
-def _substitute_polys(h: list[AnfPoly], n: int, cap: int) -> None:
+def _substitute_polys(h: list[AnfPoly], n: int, cap: int, written: Container[int]) -> None:
     """Final substitution pass on polynomials: a_i -> h_i inside every higher entry."""
-    for i in range(1, n + 1):
+    rewritten: set[int] = set()
+    for i, targets in _pairs(n, written, rewritten):
         hi = h[i - 1]
         if hi == AnfPoly.var(i):
             continue
-        for j in range(i + 1, n + 1):
-            h[j - 1] = h[j - 1].substitute(i, hi)
+        for j in targets:
+            hj = h[j - 1]
+            h[j - 1] = new = hj.substitute(i, hi)
+            if new != hj:
+                rewritten.add(j)
             if 1 << j > cap:
-                _check_cap(h[j - 1], j, cap)
+                _check_cap(new, j, cap)
+
+
+def _pairs(
+    n: int, written: Container[int], rewritten: set[int]
+) -> Iterator[tuple[int, Iterable[int]]]:
+    """Yield (i, levels j > i ascending) where the pass applies a_i -> h_i to h_j.
+
+    Every j when the merge wrote h_i or the pass rewrote it; otherwise only
+    the j whose h_j the pass rewrote (module docstring), read as the pass
+    adds to ``rewritten``.
+    """
+    for i in range(1, n + 1):
+        if i in written or i in rewritten:
+            yield i, range(i + 1, n + 1)
+        elif rewritten:
+            yield i, sorted(j for j in rewritten if j > i)
 
 
 def _table_len(table: int, l: int) -> int:
@@ -512,7 +567,7 @@ def merge(f: Descriptor, clause: Clause3, *, cap: int = DEFAULT_LEN_CAP) -> Opti
     # Merged with a_l, h_l leaves as residual the prefixes where it negates a_l.
     if any(merge_level(h_l, var[l], l)[1] for l, h_l in enumerate(entries, start=1)):
         raise InvariantViolation("an entry negates its own variable")
-    h, _ = _merge_clause(entries, clause, f.n, cap)
+    h, _ = _merge_clause(entries, clause, f.n, cap, composed=False)
     return None if h is None else _descriptor(h, f.n)
 
 

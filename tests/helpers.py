@@ -188,12 +188,15 @@ def reference_merge_clause(
     clause: Clause3,
     n: int,
     cap: int,
+    *,
+    composed: bool = True,
 ) -> tuple[Optional[list[AnfPoly]], tuple[int, ...]]:
     """Run the descending sweep for one clause on sparse polynomials.
 
     Returns (h list, cascade chain), with h None when a residual
     degenerates to the constant 1.  Raises ResourceCap when an entry
-    outgrows the cap.
+    outgrows the cap.  ``composed`` is accepted and ignored: the
+    reference always runs the full substitution pass.
 
     The engine's sparse sweep as it was before the table and polynomial
     sweeps became one, kept verbatim as an independent reference: tests

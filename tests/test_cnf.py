@@ -6,6 +6,8 @@ import pytest
 from anf_sat_lab.cnf import (
     Clause3,
     Formula,
+    Literal,
+    SortedFormula,
     formula_from_json,
     formula_to_json,
     parse_dimacs,
@@ -93,6 +95,11 @@ class TestParse:
             assert {a << 1 for a in range(1 << n) if f.eval_mask(a << 1)} == want
 
 
+def unsorted(n, *clauses):
+    """A SortedFormula over the clauses in the given order, which it checks."""
+    return SortedFormula(n, tuple(map(Clause3.from_signed, clauses)))
+
+
 class TestClauseErrors:
     """The messages `parse error:` prints; a literal 0 is checked before the
     count, and the count before a repeated variable."""
@@ -116,6 +123,26 @@ class TestClauseErrors:
         with pytest.raises(exc) as info:
             Clause3.from_signed(iter(lits))
         assert type(info.value) is exc and str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Clause3((Literal(2, False), Literal(1, True), Literal(3, False))),
+             "clause variables must satisfy r < s < t, got [2, 1, 3]"),
+            (lambda: Clause3((Literal(1, False), Literal(3, False), Literal(3, True))),
+             "clause variables must satisfy r < s < t, got [1, 3, 3]"),
+            (lambda: Clause3((Literal(1, False), Literal(2, False))),
+             "clause variables must satisfy r < s < t, got [1, 2]"),
+            (lambda: unsorted(4, (1, 2, 3), (1, 2, -4), (1, 3, 4), (-1, 2, 3)),
+             "clauses (1, 3, 4) and (-1, 2, 3) are out of order"),
+            (lambda: unsorted(3, (1, 2, 3), (1, 2, -3)),  # negated x_t comes first
+             "clauses (1, 2, 3) and (1, 2, -3) are out of order"),
+        ],
+    )
+    def test_constructor_message(self, make, message):
+        with pytest.raises(MalformedClause) as info:
+            make()
+        assert type(info.value) is MalformedClause and str(info.value) == message
 
 
 class TestRoundTrips:

@@ -448,6 +448,33 @@ class TestTableFold:
                     break
                 current = got
 
+    def test_public_merge_of_unfolded_input_equals_sparse_merge(self, monkeypatch):
+        # Random non-negating entries that no fold made: H o H = H need not hold,
+        # so merge must apply every pair of its substitution pass.
+        rng = random.Random(24)
+        merges = shortcut_differs = 0
+        for n in range(3, 8):
+            for _ in range(120):
+                tables = []
+                for l in range(1, n + 1):
+                    half = 1 << (l - 1)
+                    low = rng.getrandbits(half)
+                    tables.append(low | (low | rng.getrandbits(half)) << half)  # high >= low
+                h = Descriptor.from_tables(n, tables)
+                signed = [v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), 3)]
+                clause = Clause3.from_signed(signed)
+                got = merge(h, clause)
+                with monkeypatch.context() as m:
+                    m.setattr(descriptor, "_on_tables", lambda n: False)
+                    got_poly = merge(h, clause)
+                    m.setattr(descriptor, "_merge_clause", reference_merge_clause)
+                    want = merge(h, clause)
+                assert got == want and got_poly == want, (n, tables, signed)
+                shortcut, _ = descriptor._merge_clause(list(tables), clause, n, 1 << n)
+                shortcut_differs += shortcut != (None if got is None else list(got.tables))
+                merges += 1
+        assert shortcut_differs > merges // 2  # the fold's shortcut would be wrong here
+
     def test_gate_depends_only_on_n(self, monkeypatch):
         calls = []
         for name in ("_substitute_tables", "_substitute_polys"):
@@ -668,10 +695,21 @@ def trace_record(status, capped_at, trace):
     return "\n".join(lines) + "\n"
 
 
+def full_pass(entries, n):
+    """The entries after one more substitution pass that applies every pair (i, j)."""
+    again = list(entries)
+    tables = descriptor._on_tables(n)
+    substitute = descriptor._substitute_tables if tables else descriptor._substitute_polys
+    substitute(again, n, descriptor.DEFAULT_LEN_CAP, range(1, n + 1))
+    return again
+
+
 class TestTracePinned:
     """Traces pinned by digest, so a fault shared by both folds still shows."""
 
     def test_build_traces_pinned(self):
+        # Every state is non-negating and composed: one more full pass changes nothing
+        # (h_j reads its prefix only through the lower entries, so H o H = H).
         text, statuses = [], set()
         for n in range(4, 13):
             for ratio in (2.5, 4.26, 6):
@@ -683,9 +721,11 @@ class TestTracePinned:
                         text.append(trace_record(result.status, result.capped_at, result.trace))
                         for entries in filter(None, result.states):
                             assert not any(negates(t, l) for l, t in enumerate(entries, start=1))
+                            assert full_pass(entries, n) == entries
         assert statuses == {"ok", "unsat", "capped"}
         sparse = build(sort_clauses(random_formula(21, 14, 1)))  # above the table gate
         assert sparse.ok and any(step.chain for step in sparse.trace.steps)
+        assert all(full_pass(entries, 21) == entries for entries in sparse.states)
         text.append(trace_record(sparse.status, sparse.capped_at, sparse.trace))
         assert hashlib.sha256("".join(text).encode()).hexdigest() == (
             "dd35727b784e44d7fcb7be1381e5ee81b2d35a37e980bc929a797c62d8e0e2a6"
