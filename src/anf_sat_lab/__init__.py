@@ -49,7 +49,7 @@ from .oracle import (
     random_formula,
 )
 from .smatrix import SMatrix, descriptor_from_smatrix, image
-from .solutions import SolutionSet, count_solutions, intersect_images, list_solutions
+from .solutions import SolutionSet, intersect_images, list_solutions
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "image",
     "SolutionSet",
     "list_solutions",
-    "count_solutions",
     "intersect_images",
     "FactorSequence",
     "factor_sequence",

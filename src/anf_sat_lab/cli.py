@@ -6,8 +6,8 @@ DIMACS-style 'v' lines and are byte-identical for identical inputs, flags
 and seeds.  Exit codes: 0 success, 1 soft failure (UNSAT build, parse
 error, unsupported flag pair), 2 falsifier findings, 10 SAT,
 20 UNSAT-under-assumption, 30 resource cap, 64 usage error (also falsify
-parameters no instance can meet), 70 engine bug (InvariantViolation,
-Property2Violation), 74 I/O error.
+parameters no instance can meet), 70 engine bug (InvariantViolation),
+74 I/O error.
 """
 
 from __future__ import annotations

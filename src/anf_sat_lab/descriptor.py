@@ -153,12 +153,6 @@ class Descriptor:
         """Whether reads use the tables: up to the size where builds use them."""
         return _on_tables(self.n)
 
-    def is_var(self, i: int) -> bool:
-        """Whether h_i is the identity a_i."""
-        if self.on_tables:
-            return self.tables[i - 1] == var_columns(i)[i]
-        return self.entry(i) == AnfPoly.var(i)
-
     def image_indices(self) -> set[int]:
         """Image {H(alpha)} as assignment indices (variable i is bit i - 1)."""
         # images[alpha] over a_1..a_i: the list over a_1..a_{i-1}, twice over.

@@ -11,7 +11,6 @@ __all__ = [
     "EmptySet",
     "TooLarge",
     "InvariantViolation",
-    "Property2Violation",
     "ResourceCap",
     "GenerationError",
 ]
@@ -47,10 +46,6 @@ class TooLarge(AnfSatError):
 
 class InvariantViolation(AnfSatError):
     """A structural invariant (e.g. descriptor triangularity) was broken."""
-
-
-class Property2Violation(AnfSatError):
-    """A closed form guaranteed for one-sided sub-descriptors failed."""
 
 
 class ResourceCap(AnfSatError):

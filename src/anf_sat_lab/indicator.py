@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from typing import Iterable, TypeVar
 
 from .anf import AnfPoly, IntPoly, cube, ring
+# build and split_plus_minus stay module globals: bench/tracing.py patches them by name
 from .cnf import Formula, SortedFormula, split_plus_minus
-from .descriptor import Descriptor, build, clause_forbidden_monomial
-from .errors import Property2Violation, ResourceCap
+from .descriptor import DEFAULT_LEN_CAP, Descriptor, build, clause_forbidden_monomial
+from .errors import ResourceCap
 from .solutions import SolutionSet
 
 __all__ = [
@@ -75,12 +76,10 @@ class FactorSequence:
 
 
 def factor_sequence(f: SortedFormula) -> FactorSequence:
-    """Build both one-sided descriptors per variable and package the factors.
+    """Compute both one-sided entries per variable and package the factors.
 
-    One-sided groups merge without any cascade; the closed forms
-    h_plus(.., 1) = 1 and h_minus(.., 0) = 0 are asserted and any failure
-    raises Property2Violation, signalling an engine bug.  A group build that
-    hits the length cap raises ResourceCap.
+    Each entry is the closed form of ``_one_sided_entry``; a group whose
+    entry outgrows the length cap raises ResourceCap.
     """
     h_plus: list[AnfPoly] = []
     h_minus: list[AnfPoly] = []
@@ -98,30 +97,34 @@ def factor_sequence(f: SortedFormula) -> FactorSequence:
 
 
 def _one_sided_entry(group: SortedFormula, t: int, *, positive: bool) -> AnfPoly:
-    if group.m == 0:
-        return AnfPoly.var(t)
-    result = build(group)
-    if result.capped:
-        raise ResourceCap(f"one-sided group at t={t} hit the length cap")
-    if not result.ok:
-        raise Property2Violation(
-            f"one-sided group at t={t} did not build cleanly: {result.status}"
-        )
-    assert result.descriptor is not None
-    if any(result.chains):
-        raise Property2Violation(f"one-sided group at t={t} triggered a cascade")
-    h = result.descriptor
-    for i in range(1, group.n + 1):
-        if i != t and not h.is_var(i):
-            raise Property2Violation(
-                f"one-sided group at t={t} disturbed entry {i}"
-            )
-    h_t = h.entry(t)
-    if positive and not h_t.restrict(t, 1).is_one():
-        raise Property2Violation(f"h_plus at t={t} does not collapse to 1 at x_t=1")
-    if not positive and not h_t.restrict(t, 0).is_zero():
-        raise Property2Violation(f"h_minus at t={t} does not collapse to 0 at x_t=0")
-    return h_t
+    """The t-entry of ``build(group)`` for a group of clauses topped by x_t of one sign.
+
+    It is h+ = a_t OR B_1 OR .. OR B_m for a positive group and
+    h- = a_t AND NOT B_1 AND .. AND NOT B_m for a negative one, where B_c is
+    the indicator that both lower literals of clause c are false.  Proof, by
+    induction over the fold: every entry other than h_t stays a_i.  The
+    clause's t-entry is a_t + its forbidden cube, the cube reading the lower
+    entries, which are identities; so it is g = a_t OR B_c when x_t is
+    positive and g = a_t AND NOT B_c when it is negative.  The level merge
+    (``merge_poly``'s formula, which ``_merge_level`` shares) takes
+    f = a_t OR X (halves X, 1) and g = a_t OR B to a_t OR X OR B, and
+    f = a_t AND NOT X (halves 0, NOT X) and g = a_t AND NOT B to
+    a_t AND NOT X AND NOT B, with residual 0 in both cases.  So nothing
+    cascades, and the substitution pass leaves the identities above t
+    alone, since they do not read a_t.
+
+    After each clause the entry is checked against ``DEFAULT_LEN_CAP`` as
+    the build checks its level-t entry, and ResourceCap is raised when it
+    is over.  The entry is returned in mask order, as a build over at most
+    20 variables converts it from its table.
+    """
+    h = a_t = AnfPoly.var(t)
+    for clause in group.clauses:
+        g = a_t + clause_forbidden_monomial(clause)
+        h = h + g + h * g if positive else h * g
+        if 1 << t > DEFAULT_LEN_CAP and len(h) > DEFAULT_LEN_CAP:
+            raise ResourceCap(f"one-sided group at t={t} hit the length cap")
+    return h.in_mask_order()
 
 
 def product_with_cap(factors: Iterable[_P], cap: int, unit: _P = AnfPoly.one()) -> _P:

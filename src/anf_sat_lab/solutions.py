@@ -15,7 +15,7 @@ from .anf import AnfPoly, bits_of_mask, mask_of_bits
 from .descriptor import Descriptor
 from .errors import InvariantViolation
 
-__all__ = ["SolutionSet", "SearchStats", "list_solutions", "count_solutions", "intersect_images"]
+__all__ = ["SolutionSet", "SearchStats", "list_solutions", "intersect_images"]
 
 
 @dataclass(frozen=True)
@@ -69,15 +69,6 @@ def list_solutions(
     return intersect_images(
         [h], solution_cap=solution_cap, node_cap=node_cap, stats=stats
     )
-
-
-def count_solutions(
-    h: Descriptor,
-    *,
-    solution_cap: Optional[int] = None,
-    node_cap: Optional[int] = None,
-) -> int:
-    return list_solutions(h, solution_cap=solution_cap, node_cap=node_cap).sigma
 
 
 def intersect_images(

@@ -472,9 +472,9 @@ class TestEngineBugExit:
             (["profile"], "anf_sat_lab.cli.build", "InvariantViolation"),
             (["indicator"], "anf_sat_lab.cli.indicator_from_clauses", "InvariantViolation"),
             (["indicator", "--form", "descriptor"], "anf_sat_lab.cli.build", "InvariantViolation"),
-            (["indicator", "--form", "factors"], "anf_sat_lab.indicator._one_sided_entry", "Property2Violation"),
-            (["coeff"], "anf_sat_lab.indicator._one_sided_entry", "Property2Violation"),
-            (["decide", "--k", "1"], "anf_sat_lab.indicator._one_sided_entry", "Property2Violation"),
+            (["indicator", "--form", "factors"], "anf_sat_lab.indicator._one_sided_entry", "InvariantViolation"),
+            (["coeff"], "anf_sat_lab.indicator._one_sided_entry", "InvariantViolation"),
+            (["decide", "--k", "1"], "anf_sat_lab.indicator._one_sided_entry", "InvariantViolation"),
         ],
     )
     def test_command_exits_70(self, argv, target, exc, two_cnf, monkeypatch, capsys):
@@ -594,8 +594,7 @@ class TestFailureExits:
     def test_capped_one_sided_build_is_a_cap(self, two_cnf, monkeypatch, capsys):
         import anf_sat_lab.indicator as ind
 
-        real_build = ind.build
-        monkeypatch.setattr(ind, "build", lambda group: real_build(group, cap=1))
+        monkeypatch.setattr(ind, "DEFAULT_LEN_CAP", 1)
         code, out, err = run_main(["coeff", two_cnf], capsys)
         assert (code, out) == (30, "")
         assert err == "one-sided group at t=3 hit the length cap\n"

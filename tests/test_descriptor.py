@@ -49,7 +49,7 @@ class TestDescriptorType:
 
     def test_identity(self):
         h = identity_descriptor(4)
-        assert all(h.is_var(i) for i in range(1, 5))
+        assert all(h.tables[i - 1] == var_columns(i)[i] for i in range(1, 5))
         assert apply_mask(h, 0b10110) == 0b10110
 
     def test_json_roundtrip(self):
@@ -626,7 +626,7 @@ class TestTableBackedDescriptor:
         top = h.entry(10)
         assert len(conversions) == 1 and h.entry(10) is top
         assert h.to_json() == [p.to_text("a") for p in h.h]
-        assert len(conversions) == sum(not h.is_var(i) for i in range(1, 11))
+        assert len(conversions) == sum(h.tables[i - 1] != var_columns(i)[i] for i in range(1, 11))
 
     def test_from_tables_validation(self):
         with pytest.raises(InvariantViolation):

@@ -2,16 +2,11 @@ import random
 
 import pytest
 
-from anf_sat_lab import descriptor, indicator
+from anf_sat_lab import indicator
 from anf_sat_lab.anf import AnfPoly
-from anf_sat_lab.cnf import Clause3, Formula, SortedFormula, parse_dimacs, sort_clauses
-from anf_sat_lab.descriptor import (
-    BuildResult,
-    Descriptor,
-    build,
-    identity_descriptor,
-)
-from anf_sat_lab.errors import Property2Violation, ResourceCap
+from anf_sat_lab.cnf import Formula, parse_dimacs, sort_clauses, split_plus_minus
+from anf_sat_lab.descriptor import build, identity_descriptor
+from anf_sat_lab.errors import GenerationError, ResourceCap
 from anf_sat_lab.indicator import (
     clause_forbidden_monomial,
     factor_sequence,
@@ -227,60 +222,56 @@ class TestIndicatorFromFactors:
             assert indicator_from_factors(fs, "int").reduce_mod2() == indicator_from_factors(fs, "gf2")
 
 
-class TestOneSidedChecks:
-    """The group checks read the tables and raise as the polynomial checks do."""
+def one_sided_groups():
+    """Every nonempty one-sided group of a seeded grid, as (group, t, positive).
 
-    @pytest.mark.parametrize("on_tables", [True, False])
-    @pytest.mark.parametrize(
-        "entries, positive, message",
-        [
-            # a disturbed entry is reported before a failed collapse
-            (("a1", "a1", "a3 + a1", "a4"), True, "one-sided group at t=3 disturbed entry 2"),
-            (("a1", "a2", "a3", "a1*a4"), False, "one-sided group at t=3 disturbed entry 4"),
-            (("a1", "a2", "a3 + a1", "a4"), True, "h_plus at t=3 does not collapse to 1 at x_t=1"),
-            (("a1", "a2", "a3 + a1", "a4"), False, "h_minus at t=3 does not collapse to 0 at x_t=0"),
-            (("a1", "a2", "a3 + a1*a3", "a4"), True, "h_plus at t=3 does not collapse to 1 at x_t=1"),
-            (("a1", "a2", "a3 + a1*a3", "a4"), False, None),
-            (("a1", "a2", "1 + a1 + a1*a3", "a4"), True, None),
-            (("1", "a2", "a3", "a4"), True, "one-sided group at t=3 disturbed entry 1"),
-            # a cascade is reported before any entry is read
-            (("1", "a2", "a3", "a4"), True, "one-sided group at t=3 triggered a cascade"),
-        ],
-    )
-    def test_messages(self, monkeypatch, on_tables, entries, positive, message):
-        polys = [P(e) for e in entries]
-        if on_tables:
-            h = Descriptor.from_tables(4, [p.truth_column(i) for i, p in enumerate(polys, 1)])
-        else:
-            monkeypatch.setattr(descriptor, "_on_tables", lambda n: False)
-            h = Descriptor(4, polys)
-        group = SortedFormula(n=4, clauses=(Clause3.from_signed((1, 2, 3)),))
-        # the planted build of two clauses cascades only in the case that reports it
-        chains = ((), (2,)) if message and "cascade" in message else ((),)
-        result = BuildResult("ok", h, group, chains=chains, states=())
-        monkeypatch.setattr(indicator, "build", lambda group: result)
-        if message is None:
-            assert indicator._one_sided_entry(group, 3, positive=positive) == polys[2]
-        else:
-            with pytest.raises(Property2Violation) as exc:
-                indicator._one_sided_entry(group, 3, positive=positive)
-            assert str(exc.value) == message
+    Ratios with more clauses than there are distinct ones (n = 3, 4) are skipped.
+    """
+    for n in [*range(3, 21), 21, 24, 28]:
+        for r in (1, 2.5, 4.26, 6, 10):
+            for s in range(1, 4 if n <= 14 else 2):
+                try:
+                    f = sort_clauses(random_formula(n, max(1, round(r * n)), s))
+                except GenerationError:
+                    continue
+                for t in range(1, n + 1):
+                    for group, positive in zip(split_plus_minus(f, t), (True, False)):
+                        if group.m:
+                            yield group, t, positive
 
-    def test_group_build_converts_only_h_t(self, monkeypatch):
-        calls = []
-        real = Descriptor.entry
 
-        def recording(self, i):
-            calls.append(i)
-            return real(self, i)
+class TestOneSidedClosedForm:
+    """The proved lemma behind ``_one_sided_entry``, against the group builds."""
 
-        monkeypatch.setattr(Descriptor, "entry", recording)
-        fs = factor_sequence(sort_clauses(random_formula(10, 43, 1)))
-        groups = [
-            t
-            for t in range(1, fs.n + 1)
-            for clauses in (fs.plus_clauses[t - 1], fs.minus_clauses[t - 1])
-            if clauses
-        ]
-        assert len(groups) > fs.n
-        assert calls == groups
+    def test_closed_form_is_the_built_entry(self):
+        count = 0
+        for group, t, positive in one_sided_groups():
+            result = build(group)
+            assert result.ok and not any(result.chains)
+            h = result.descriptor
+            assert all(h.entry(i) == AnfPoly.var(i) for i in range(1, group.n + 1) if i != t)
+            entry = indicator._one_sided_entry(group, t, positive=positive)
+            assert h.entry(t) == entry
+            if h.on_tables:  # and it iterates as the table conversion does
+                assert list(h.entry(t)) == list(entry)
+            count += 1
+        assert count == 2564
+
+    @pytest.mark.parametrize("cap", [1, 2, 4, 8])
+    def test_caps_as_the_build_does(self, monkeypatch, cap):
+        monkeypatch.setattr(indicator, "DEFAULT_LEN_CAP", cap)
+        outcomes = set()
+        for n in range(4, 12):
+            f = sort_clauses(random_formula(n, round(4.26 * n), 1))
+            for t in range(1, n + 1):
+                for group, positive in zip(split_plus_minus(f, t), (True, False)):
+                    try:
+                        indicator._one_sided_entry(group, t, positive=positive)
+                    except ResourceCap as exc:
+                        assert str(exc) == f"one-sided group at t={t} hit the length cap"
+                        raised = True
+                    else:
+                        raised = False
+                    assert raised == build(group, cap=cap).capped
+                    outcomes.add(raised)
+        assert outcomes == {True, False}

@@ -15,7 +15,6 @@ from anf_sat_lab.oracle import random_formula
 from anf_sat_lab.solutions import (
     SearchStats,
     SolutionSet,
-    count_solutions,
     intersect_images,
     list_solutions,
 )
@@ -95,7 +94,7 @@ class TestListSolutions:
 
     def test_count(self):
         result = build(sort_clauses(parse_dimacs(TWO_CLAUSE)))
-        assert count_solutions(result.descriptor) == 12
+        assert list_solutions(result.descriptor).sigma == 12
 
 
 class TestIntersect:
