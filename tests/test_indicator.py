@@ -222,30 +222,36 @@ class TestIndicatorFromFactors:
             assert indicator_from_factors(fs, "int").reduce_mod2() == indicator_from_factors(fs, "gf2")
 
 
-def one_sided_groups():
-    """Every nonempty one-sided group of a seeded grid, as (group, t, positive).
+ONE_SIDED_NS = [*range(3, 21), 21, 24, 28]
+
+
+def one_sided_groups(n):
+    """Every nonempty one-sided group of a seeded grid at n, as (group, t, positive).
 
     Ratios with more clauses than there are distinct ones (n = 3, 4) are skipped.
     """
-    for n in [*range(3, 21), 21, 24, 28]:
-        for r in (1, 2.5, 4.26, 6, 10):
-            for s in range(1, 4 if n <= 14 else 2):
-                try:
-                    f = sort_clauses(random_formula(n, max(1, round(r * n)), s))
-                except GenerationError:
-                    continue
-                for t in range(1, n + 1):
-                    for group, positive in zip(split_plus_minus(f, t), (True, False)):
-                        if group.m:
-                            yield group, t, positive
+    for r in (1, 2.5, 4.26, 6, 10):
+        for s in range(1, 4 if n <= 14 else 2):
+            try:
+                f = sort_clauses(random_formula(n, max(1, round(r * n)), s))
+            except GenerationError:
+                continue
+            for t in range(1, n + 1):
+                for group, positive in zip(split_plus_minus(f, t), (True, False)):
+                    if group.m:
+                        yield group, t, positive
 
 
 class TestOneSidedClosedForm:
     """The proved lemma behind ``_one_sided_entry``, against the group builds."""
 
-    def test_closed_form_is_the_built_entry(self):
+    def test_grid_has_2564_groups(self):
+        assert sum(1 for n in ONE_SIDED_NS for _ in one_sided_groups(n)) == 2564
+
+    @pytest.mark.parametrize("n", ONE_SIDED_NS)
+    def test_closed_form_is_the_built_entry(self, n):
         count = 0
-        for group, t, positive in one_sided_groups():
+        for group, t, positive in one_sided_groups(n):
             result = build(group)
             assert result.ok and not any(result.chains)
             h = result.descriptor
@@ -255,7 +261,7 @@ class TestOneSidedClosedForm:
             if h.on_tables:  # and it iterates as the table conversion does
                 assert list(h.entry(t)) == list(entry)
             count += 1
-        assert count == 2564
+        assert count > 0
 
     @pytest.mark.parametrize("cap", [1, 2, 4, 8])
     def test_caps_as_the_build_does(self, monkeypatch, cap):
