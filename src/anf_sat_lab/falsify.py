@@ -22,12 +22,12 @@ from typing import Callable, Iterable, Optional
 from . import descriptor as _descriptor_mod
 from . import indicator as _indicator_mod
 from . import coeffs as _coeffs_mod
-from .anf import all_ones_column, set_bits
+from .anf import all_ones_column, set_bits, widen
 from .cnf import Formula, rename, sort_clauses, to_dimacs
 from .coeffs import decide_sat_bounded
 from .descriptor import build
 from .errors import InvariantViolation, ResourceCap, TooLarge
-from .indicator import factor_sequence
+from .indicator import FactorSequence, factor_sequence
 from .oracle import brute_column, brute_count, random_formula
 
 __all__ = [
@@ -103,18 +103,28 @@ def _check_indicator6(f: Formula) -> Optional[tuple[str, str]]:
     """Does the product of one-sided factors match the true indicator?"""
     # The oracle first: above its bound the 2**n-bit tables below would not fit.
     expected = brute_column(f)
-    fs = factor_sequence(sort_clauses(f))
-    acc = all_ones_column(f.n)
-    for t in range(1, f.n + 1):
-        acc &= fs.g(t).truth_column(f.n)
-        if not acc:
-            break
+    acc = _factor_product_column(factor_sequence(sort_clauses(f)))
     if acc == expected:
         return None
     return (
         f"indicator with {bin(expected).count('1')} ones",
         f"factor product with {bin(acc).count('1')} ones",
     )
+
+
+def _factor_product_column(fs: FactorSequence) -> int:
+    """The 2**n-bit truth column of the product of all g_t.
+
+    The table of g_t is the AND of its two factors' 2**t-bit tables, so no
+    ring product is expanded.
+    """
+    acc = all_ones_column(fs.n)
+    for t in range(1, fs.n + 1):
+        g_t = fs.factor_plus(t).truth_column(t) & fs.factor_minus(t).truth_column(t)
+        acc &= widen(g_t, t, fs.n)
+        if not acc:
+            break
+    return acc
 
 
 def _choose_k(count: int) -> int:

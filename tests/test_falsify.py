@@ -3,9 +3,11 @@ import os
 
 import pytest
 
-from anf_sat_lab.cnf import Clause3, Formula, parse_dimacs
+from anf_sat_lab.anf import AnfPoly, all_ones_column
+from anf_sat_lab.cnf import Clause3, Formula, parse_dimacs, sort_clauses
 from anf_sat_lab.falsify import (
     CLAIM_IDS,
+    _factor_product_column,
     check_claim,
     compact_variables,
     falsify,
@@ -13,6 +15,7 @@ from anf_sat_lab.falsify import (
     verify_one_minimal,
     write_reports,
 )
+from anf_sat_lab.indicator import factor_sequence
 from anf_sat_lab.oracle import random_formula
 
 from golden import EIGHT_CLAUSE, SIX_VAR, TWO_CLAUSE
@@ -47,6 +50,28 @@ class TestCheckers:
     def test_sweep_decides_on_goldens(self):
         assert check_claim("SWEEP_DECIDES", parse_dimacs(EIGHT_CLAUSE)) is None
         assert check_claim("SWEEP_DECIDES", parse_dimacs(SIX_VAR)) is None
+
+    def test_factors_up_to_level_16_expand_no_ring_product(self, monkeypatch):
+        def no_products(self, other):
+            raise AssertionError("AnfPoly.__mul__ called")
+
+        monkeypatch.setattr(AnfPoly, "__mul__", no_products)
+        monkeypatch.setattr(AnfPoly, "__and__", no_products)  # its alias
+        for n in range(4, 17):
+            f = random_formula(n, round(4.26 * n), 1)
+            fs = factor_sequence(sort_clauses(f))
+            assert len(fs.h_plus) == len(fs.h_minus) == n
+            assert check_claim("INDICATOR6", f) is None
+
+    @pytest.mark.parametrize("n", range(4, 19))
+    def test_indicator6_table_product_is_the_ring_product(self, n):
+        # n = 17 and 18 fold their top levels sparsely, the rest on tables
+        for ratio in (2.5, 4.26, 6):
+            fs = factor_sequence(sort_clauses(random_formula(n, round(ratio * n), 1)))
+            expected = all_ones_column(n)
+            for t in range(1, n + 1):
+                expected &= fs.g(t).truth_column(n)
+            assert _factor_product_column(fs) == expected
 
 
 class TestCompactAndMinimize:
