@@ -199,10 +199,15 @@ def relabel_by_frequency(f: Formula) -> tuple[Formula, tuple[int, ...]]:
 
 
 def rename(f: Formula, order: Sequence[int]) -> Formula:
-    """The formula over variables 1..len(order) in which ``order[k - 1]`` becomes k."""
+    """The formula over variables 1..len(order) in which ``order[k - 1]`` becomes k.
+
+    An ``order`` that names a variable twice raises MalformedClause.
+    """
     new = {old: k for k, old in enumerate(order, start=1)}
+    if len(new) != len(order):
+        raise MalformedClause("renaming order names a variable twice")
     clauses = tuple(
-        Clause3.from_signed([(-1 if l.negated else 1) * new[l.var] for l in cl.lits])
+        Clause3(tuple(sorted(Literal(new[v], neg) for v, neg in cl.lits)))
         for cl in f.clauses
     )
     return Formula(n=len(order), clauses=clauses)

@@ -22,10 +22,10 @@ from typing import Callable, Iterable, Optional
 from . import descriptor as _descriptor_mod
 from . import indicator as _indicator_mod
 from . import coeffs as _coeffs_mod
-from .anf import all_ones_column, set_bits, widen
+from .anf import all_ones_column, widen
 from .cnf import Formula, rename, sort_clauses, to_dimacs
 from .coeffs import decide_sat_bounded
-from .descriptor import build
+from .descriptor import Descriptor, build
 from .errors import InvariantViolation, ResourceCap, TooLarge
 from .indicator import FactorSequence, factor_sequence
 from .oracle import brute_column, brute_count, random_formula
@@ -79,24 +79,43 @@ class FalsifyStats:
 
 
 def _check_merge_soundness(f: Formula) -> Optional[tuple[str, str]]:
-    """Does the built descriptor's image equal the brute-force solution set?"""
-    expected_col = brute_column(f)
+    """Does the built descriptor's image equal the brute-force solution set?
+
+    Every built descriptor satisfies Im H = Fix H (property (ii) in the
+    ``descriptor`` docstring), so the image is compared as the fixed-point
+    column: the 2**n-bit table of {alpha : h_t(alpha) = alpha_t for all t},
+    in ``brute_column``'s bit convention.  Its popcount is the image size.
+    """
+    expected = brute_column(f)
     result = build(sort_clauses(f))
     if result.capped:
         raise ResourceCap("build hit the length cap")
     if result.unsat:
-        if expected_col == 0:
+        if expected == 0:
             return None
-        return (f"{bin(expected_col).count('1')} solutions", "UNSAT")
+        return (f"{expected.bit_count()} solutions", "UNSAT")
     assert result.descriptor is not None
-    got = result.descriptor.image_indices()
-    expected = set(set_bits(expected_col))
+    got = _fixed_point_column(result.descriptor)
     if got == expected:
         return None
     return (
-        f"solution set of size {len(expected)}",
-        f"image of size {len(got)} (symmetric difference {len(got ^ expected)})",
+        f"solution set of size {expected.bit_count()}",
+        f"image of size {got.bit_count()} (symmetric difference {(got ^ expected).bit_count()})",
     )
+
+
+def _fixed_point_column(h: Descriptor) -> int:
+    """The 2**n-bit truth column of Fix H, bit a for the assignment ``a << 1``.
+
+    F_0 = 1 and F_t = F_{t-1} widened to a_1..a_t AND NOT (h_t XOR a_t):
+    of the prefixes in F_{t-1}, the low half of F_t keeps those where h_t
+    is 0 (a_t = 0) and the high half those where h_t is 1 (a_t = 1).
+    """
+    fixed = 1
+    for t, table in enumerate(h.tables, start=1):
+        half = 1 << (t - 1)
+        fixed = fixed & ~table | (fixed & table >> half) << half
+    return fixed
 
 
 def _check_indicator6(f: Formula) -> Optional[tuple[str, str]]:

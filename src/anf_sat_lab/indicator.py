@@ -10,11 +10,11 @@ positive/negative split of each variable's clause group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 from .anf import AnfPoly, IntPoly, all_ones_column, cube, ring, var_columns
 # build and split_plus_minus stay module globals: bench/tracing.py patches them by name
-from .cnf import Formula, SortedFormula, split_plus_minus
+from .cnf import Clause3, Formula, SortedFormula, split_plus_minus
 from .descriptor import DEFAULT_LEN_CAP, Descriptor, build, clause_forbidden_monomial
 from .errors import ResourceCap
 from .solutions import SolutionSet
@@ -81,15 +81,15 @@ class FactorSequence:
 def factor_sequence(f: SortedFormula) -> FactorSequence:
     """Compute both one-sided entries per variable and package the factors.
 
-    Each entry is the closed form of ``_one_sided_entry``; a group whose
-    entry outgrows the length cap raises ResourceCap.
+    Each entry is the closed form of ``_one_sided_entry`` on the clauses of
+    one half of ``f.groups[t]``; a group whose entry outgrows the length cap
+    raises ResourceCap.
     """
     h_plus: list[AnfPoly] = []
     h_minus: list[AnfPoly] = []
-    for t in range(1, f.n + 1):
-        plus, minus = split_plus_minus(f, t)
-        h_plus.append(_one_sided_entry(plus, t, positive=True))
-        h_minus.append(_one_sided_entry(minus, t, positive=False))
+    for t, (minus, plus) in enumerate(f.groups[1:], start=1):
+        h_plus.append(_one_sided_entry([f.clauses[k - 1] for k in plus], t, positive=True))
+        h_minus.append(_one_sided_entry([f.clauses[k - 1] for k in minus], t, positive=False))
     return FactorSequence(
         n=f.n,
         h_plus=tuple(h_plus),
@@ -99,8 +99,8 @@ def factor_sequence(f: SortedFormula) -> FactorSequence:
     )
 
 
-def _one_sided_entry(group: SortedFormula, t: int, *, positive: bool) -> AnfPoly:
-    """The t-entry of ``build(group)`` for a group of clauses topped by x_t of one sign.
+def _one_sided_entry(clauses: Sequence[Clause3], t: int, *, positive: bool) -> AnfPoly:
+    """The t-entry of the build of a group: clauses topped by x_t, all of one sign.
 
     It is h+ = a_t OR B_1 OR .. OR B_m for a positive group and
     h- = a_t AND NOT B_1 AND .. AND NOT B_m for a negative one, where B_c is
@@ -141,20 +141,20 @@ def _one_sided_entry(group: SortedFormula, t: int, *, positive: bool) -> AnfPoly
     with ``oracle.brute_column``: the oracle checks this engine and stays
     independent of it.
     """
-    if not group.clauses:
+    if not clauses:
         return AnfPoly.var(t)
     if t <= _TABLE_FOLD_MAX_LEVEL and 1 << t <= DEFAULT_LEN_CAP:
         cols = var_columns(t)
         ones = all_ones_column(t)
         b = 0
-        for clause in group.clauses:
+        for clause in clauses:
             low, mid, _ = clause.lits
             b |= (cols[low.var] if low.negated else ones ^ cols[low.var]) & (
                 cols[mid.var] if mid.negated else ones ^ cols[mid.var]
             )
         return AnfPoly.from_truth_column(cols[t] | b if positive else cols[t] & ~b, t)
     h = a_t = AnfPoly.var(t)
-    for clause in group.clauses:
+    for clause in clauses:
         g = a_t + clause_forbidden_monomial(clause)
         h = h + g + h * g if positive else h * g
         if 1 << t > DEFAULT_LEN_CAP and len(h) > DEFAULT_LEN_CAP:

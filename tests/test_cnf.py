@@ -12,6 +12,7 @@ from anf_sat_lab.cnf import (
     formula_to_json,
     parse_dimacs,
     relabel_by_frequency,
+    rename,
     sort_clauses,
     split_plus_minus,
     static_sets,
@@ -227,6 +228,29 @@ class TestRelabel:
             f = random_formula(7, 25, seed + 100)
             relabeled, _ = relabel_by_frequency(f)
             assert len(solution_masks(f)) == len(solution_masks(relabeled))
+
+
+class TestRename:
+    def test_order_naming_a_variable_twice_is_rejected(self):
+        f = parse_dimacs("p cnf 3 1\n1 -2 3 0\n")
+        with pytest.raises(MalformedClause, match="renaming order names a variable twice"):
+            rename(f, (1, 1, 2, 3))
+
+    def test_non_monotone_renaming_sorts_each_clause(self):
+        # x4 occurs four times, x2 and x3 three, x1 twice: x4 -> 1, x1 -> 4
+        f = parse_dimacs("p cnf 4 4\n1 -2 4 0\n2 3 -4 0\n-2 -3 4 0\n-1 3 4 0\n")
+        relabeled, perm = relabel_by_frequency(f)
+        assert perm == (4, 2, 3, 1)
+        new = {old: k for k, old in enumerate(perm, start=1)}
+        for cl, old in zip(relabeled.clauses, f.clauses):
+            assert [l.var for l in cl.lits] == sorted(l.var for l in cl.lits)
+            assert set(cl.signed()) == {-new[-x] if x < 0 else new[x] for x in old.signed()}
+        assert [cl.signed() for cl in relabeled.clauses] == [
+            (1, -2, 4),
+            (-1, 2, 3),
+            (1, -2, -3),
+            (1, 3, -4),
+        ]
 
 
 class TestSplitAndSubproblem:

@@ -1,13 +1,17 @@
 import json
 import os
+from math import comb
 
 import pytest
 
-from anf_sat_lab.anf import AnfPoly, all_ones_column
+from anf_sat_lab import cnf, indicator
+from anf_sat_lab.anf import AnfPoly, all_ones_column, set_bits
 from anf_sat_lab.cnf import Clause3, Formula, parse_dimacs, sort_clauses
+from anf_sat_lab.descriptor import build
 from anf_sat_lab.falsify import (
     CLAIM_IDS,
     _factor_product_column,
+    _fixed_point_column,
     check_claim,
     compact_variables,
     falsify,
@@ -72,6 +76,49 @@ class TestCheckers:
             for t in range(1, n + 1):
                 expected &= fs.g(t).truth_column(n)
             assert _factor_product_column(fs) == expected
+
+
+def fixed_point_grid(n):
+    """Seeded formulas: four clause ratios and three seeds at n <= 13, one build at 21."""
+    if n == 21:
+        yield random_formula(21, 14, 1)  # its build cascades
+        return
+    for ratio in (1, 2.5, 4.26, 6):
+        for seed in (1, 2, 3):
+            yield random_formula(n, min(8 * comb(n, 3), max(1, round(ratio * n))), seed)
+
+
+class TestFixedPointColumn:
+    """MERGE_SOUNDNESS compares the Fix H column; by property (ii) it is the image."""
+
+    @pytest.mark.parametrize("n", [*range(3, 14), 21])
+    def test_fixed_points_are_the_image(self, n):
+        builds = 0
+        for f in fixed_point_grid(n):
+            h = build(sort_clauses(f)).descriptor
+            if h is None:
+                continue
+            assert h.on_tables == (n <= 20)
+            assert set(set_bits(_fixed_point_column(h))) == h.image_indices()
+            builds += 1
+        assert builds > 0
+
+
+class TestFactorsReadGroups:
+    """The factor sequence and the claims that use it build no sub-formulas."""
+
+    def test_no_split_or_subproblem(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sub-formula built")
+
+        monkeypatch.setattr(indicator, "split_plus_minus", refuse)
+        monkeypatch.setattr(cnf, "split_plus_minus", refuse)
+        monkeypatch.setattr(cnf, "subproblem", refuse)
+        for n in range(4, 19):
+            f = random_formula(n, round(4.26 * n), n)
+            assert len(factor_sequence(sort_clauses(f)).h_plus) == n
+            for claim in ("INDICATOR6", "SWEEP_DECIDES"):
+                check_claim(claim, f)  # the claims are monitored, not asserted
 
 
 class TestCompactAndMinimize:

@@ -256,7 +256,7 @@ class TestOneSidedClosedForm:
             assert result.ok and not any(result.chains)
             h = result.descriptor
             assert all(h.entry(i) == AnfPoly.var(i) for i in range(1, group.n + 1) if i != t)
-            entry = indicator._one_sided_entry(group, t, positive=positive)
+            entry = indicator._one_sided_entry(group.clauses, t, positive=positive)
             assert h.entry(t) == entry
             if h.on_tables:  # and it iterates as the table conversion does
                 assert list(h.entry(t)) == list(entry)
@@ -272,7 +272,7 @@ class TestOneSidedClosedForm:
             for t in range(1, n + 1):
                 for group, positive in zip(split_plus_minus(f, t), (True, False)):
                     try:
-                        indicator._one_sided_entry(group, t, positive=positive)
+                        indicator._one_sided_entry(group.clauses, t, positive=positive)
                     except ResourceCap as exc:
                         assert str(exc) == f"one-sided group at t={t} hit the length cap"
                         raised = True
