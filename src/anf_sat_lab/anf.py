@@ -313,15 +313,6 @@ class AnfPoly:
         """Inverse of ``coefficient_column``: bit ``a`` is the monomial ``a << 1``."""
         return cls._wrap(frozenset([a << 1 for a in set_bits(column)]))
 
-    def in_mask_order(self) -> "AnfPoly":
-        """The same polynomial, its set built in ascending mask order.
-
-        A set's iteration order depends on how the set was built, and
-        products, and so the coefficient recursion's frontier under a cap,
-        inherit it.  This is the order ``from_truth_column`` builds.
-        """
-        return AnfPoly._wrap(frozenset(sorted(self._masks)))
-
     # --- rendering --------------------------------------------------------
 
     def sorted_masks(self) -> list[int]:

@@ -11,7 +11,9 @@ A product of monomials is the union of their masks, so this is a sparse,
 demand-driven iterated OR (covering) convolution (dense form: Bjorklund et
 al., "Fourier meets Moebius", STOC 2007).  The memo sets and their insertion
 order are output: they are the ``frontier_sizes`` counters and decide where
-the frontier cap fires, so each mask is computed in the same DFS order.
+the frontier cap fires.  Each level walks its factor's monomials in
+ascending mask order (``clause_coeffs``), so the DFS order, and with it
+every work counter, is fixed by the formula, not by how a factor was built.
 
 The satisfiability sweep queries every mask with at most k zero positions
 (grade at least n - k).  Under the assumption that the instance has at most
@@ -52,8 +54,8 @@ _DENSE_SHARE_LOG = 2
 
 
 def clause_coeffs(g: AnfPoly | IntPoly) -> Dict[int, int]:
-    """Sparse mask -> coefficient map of one factor."""
-    return IntPoly.coerce(g).coeffs
+    """Sparse mask -> coefficient map of one factor, in ascending mask order."""
+    return dict(sorted(IntPoly.coerce(g).coeffs.items()))
 
 
 class _Memo(dict):

@@ -126,8 +126,8 @@ def _check_indicator6(f: Formula) -> Optional[tuple[str, str]]:
     if acc == expected:
         return None
     return (
-        f"indicator with {bin(expected).count('1')} ones",
-        f"factor product with {bin(acc).count('1')} ones",
+        f"indicator with {expected.bit_count()} ones",
+        f"factor product with {acc.bit_count()} ones",
     )
 
 

@@ -133,9 +133,7 @@ def _one_sided_entry(clauses: Sequence[Clause3], t: int, *, positive: bool) -> A
     as the build checks its level-t entry, and ResourceCap is raised when
     it is over.  A table entry cannot reach the cap: it has at most 2**t
     terms, and the table path runs only where 2**t <= ``DEFAULT_LEN_CAP``,
-    so a lowered cap is still decided as the build decides it.  The entry is
-    returned in mask order, as a build over at most 20 variables converts
-    it from its table.
+    so a lowered cap is still decided as the build decides it.
 
     h- is a_t AND the group's solution column, but it must not be computed
     with ``oracle.brute_column``: the oracle checks this engine and stays
@@ -159,7 +157,7 @@ def _one_sided_entry(clauses: Sequence[Clause3], t: int, *, positive: bool) -> A
         h = h + g + h * g if positive else h * g
         if 1 << t > DEFAULT_LEN_CAP and len(h) > DEFAULT_LEN_CAP:
             raise ResourceCap(f"one-sided group at t={t} hit the length cap")
-    return h.in_mask_order()
+    return h
 
 
 def product_with_cap(factors: Iterable[_P], cap: int, unit: _P = AnfPoly.one()) -> _P:

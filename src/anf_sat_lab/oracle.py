@@ -86,7 +86,7 @@ def brute_solutions_slow(f: Formula) -> SolutionSet:
 
 
 def brute_count(f: Formula) -> int:
-    return bin(brute_column(f)).count("1")
+    return brute_column(f).bit_count()
 
 
 def expand_product(

@@ -4,6 +4,13 @@ A triangular descriptor admits a depth-first search over assignment
 prefixes: at depth t the prefix is extended by b exactly when h_t evaluates
 to b there.  Leaves at depth n are the fixed points H(x) = x, produced in
 ascending binary order (x_1 most significant) without sorting.
+
+On a built descriptor the search visits at most n * |Fix H| nodes.  A node
+is a prefix p of length t < n with h_i(p) = p_i for i <= t.  As h_i reads
+a_1..a_i only, H(p, 0, ..., 0) has prefix p, and it is a fixed point since
+Im H = Fix H (property (ii), H o H = H, proved in the ``descriptor``
+docstring).  So the nodes of each of the n lengths extend to distinct fixed
+points.  A parsed descriptor need not satisfy (ii) and is not bounded so.
 """
 
 from __future__ import annotations

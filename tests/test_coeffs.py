@@ -146,6 +146,20 @@ class TestCoefficientRecursion:
         assert len(q.frontier_sizes()) == 7
 
 
+def outcomes(q, n):
+    """Each query's coefficient or cap exception, every mask with <= 2 zeros."""
+    full = full_mask(n)
+    out = []
+    for zeros in range(3):
+        for positions in combinations(range(1, n + 1), zeros):
+            mask = full & ~sum(1 << v for v in positions)
+            try:
+                out.append(q.coefficient(mask))
+            except ResourceCap as exc:
+                out.append((str(exc), exc.where, exc.size))
+    return out
+
+
 class TestReferenceRecursion:
     """The engine against the plain recursion in ``helpers``.
 
@@ -153,20 +167,6 @@ class TestReferenceRecursion:
     the ``frontier_sizes`` work counters and decide where a frontier cap
     fires), so the two must agree exactly, not only on coefficients.
     """
-
-    @staticmethod
-    def outcomes(q, n):
-        """Each query's coefficient or cap exception, every mask with <= 2 zeros."""
-        full = full_mask(n)
-        out = []
-        for zeros in range(3):
-            for positions in combinations(range(1, n + 1), zeros):
-                mask = full & ~sum(1 << v for v in positions)
-                try:
-                    out.append(q.coefficient(mask))
-                except ResourceCap as exc:
-                    out.append((str(exc), exc.where, exc.size))
-        return out
 
     @pytest.fixture(params=["dense", "dict", "demand"])
     def gate(self, request, monkeypatch):
@@ -192,8 +192,8 @@ class TestReferenceRecursion:
                             ref = ReferenceCoefficientQuery(
                                 factors, mode, frontier_cap=cap
                             )
-                            got = self.outcomes(q, n)
-                            assert got == self.outcomes(ref, n), where
+                            got = outcomes(q, n)
+                            assert got == outcomes(ref, n), where
                             assert q.queries == ref.queries, where
                             for level in range(n + 1):
                                 assert list(q._memo[level].items()) == list(
@@ -225,9 +225,48 @@ class TestReferenceRecursion:
         assert 0 < sum(listed) < n
 
 
+class TestOrderInvariance:
+    """The work of a query depends on the factors' monomials, not on the order
+    their sets or dicts iterate in, which follows how a factor was built."""
+
+    @staticmethod
+    def shuffled(g, rng):
+        """``g`` rebuilt from its monomials in a shuffled order."""
+        if isinstance(g, IntPoly):
+            items = list(g.coeffs.items())
+            rng.shuffle(items)
+            return IntPoly(dict(items))
+        masks = list(g)
+        rng.shuffle(masks)
+        return AnfPoly(masks)
+
+    @pytest.mark.parametrize("n", [*range(6, 15), 21, 24])
+    def test_shuffled_factors_give_the_same_work(self, n):
+        """n = 21 and 24: one-sided entries above level 16 come from the sparse fold."""
+        rng = random.Random(n)
+        reordered = 0
+        for seed in (1, 2, 3) if n <= 14 else (1,):
+            f = random_formula(n, round(4.26 * n), seed)
+            fs = factor_sequence(sort_clauses(relabel_by_frequency(f)[0]))
+            for mode in ("gf2", "int"):
+                factors = [fs.g(t, mode) for t in range(1, n + 1)]
+                shuffled = [self.shuffled(g, rng) for g in factors]
+                reordered += sum(  # lifting keeps a set's iteration order
+                    list(IntPoly.coerce(a).coeffs) != list(IntPoly.coerce(b).coeffs)
+                    for a, b in zip(factors, shuffled)
+                )
+                for cap in (3, 40):
+                    runs = []
+                    for fac in (factors, shuffled):
+                        q = CoefficientQuery(fac, mode, frontier_cap=cap)
+                        runs.append((outcomes(q, n), q.queries, q.frontier_sizes()))
+                    assert runs[0] == runs[1], (seed, mode, cap)
+        assert reordered > 0
+
+
 class TestDecidePinned:
     def test_grid_pinned(self):
-        # sha256 taken before the memo reads became index-addressed views
+        # sha256 taken once each level walked its monomials in ascending mask order
         digest = hashlib.sha256()
         for n in range(4, 15):
             for seed in (1, 2, 3):
@@ -242,7 +281,7 @@ class TestDecidePinned:
                                 json.dumps(data, sort_keys=True).encode() + b"\n"
                             )
         assert digest.hexdigest() == (
-            "34896a27fd600f1ef23cb8d01e6ab09df54bfbdf567720f4bc8dfb09201487a9"
+            "424a04bd0ff2146de05f2d8f83d1f3b13cd5a594c87bb025391faf4fbd1a766c"
         )
 
 

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -88,13 +89,33 @@ class TestListSolutions:
         result = build(sort_clauses(parse_dimacs(ONE_CLAUSE)))
         stats = SearchStats()
         sols = list_solutions(result.descriptor, stats=stats)
-        # monitored metric only: visited nodes vs the 2 n sigma guide
+        # at most n * sigma on a built descriptor (TestNodeBound)
         assert stats.nodes > 0
         assert sols.sigma == 7
 
     def test_count(self):
         result = build(sort_clauses(parse_dimacs(TWO_CLAUSE)))
         assert list_solutions(result.descriptor).sigma == 12
+
+
+class TestNodeBound:
+    """The DFS over a built descriptor visits at most n * |Fix H| nodes
+    (proved in the ``solutions`` module docstring)."""
+
+    def test_nodes_at_most_n_sigma(self):
+        builds = 0
+        for n in range(4, 19):
+            for ratio in (1, 2.5, 4.26, 6):
+                for seed in (1, 2, 3):
+                    m = min(8 * comb(n, 3), max(1, round(ratio * n)))
+                    h = build(sort_clauses(random_formula(n, m, seed))).descriptor
+                    if h is None:
+                        continue
+                    stats = SearchStats()
+                    sigma = list_solutions(h, stats=stats).sigma
+                    assert stats.nodes <= n * sigma, (n, ratio, seed)
+                    builds += 1
+        assert builds == 160
 
 
 class TestIntersect:
