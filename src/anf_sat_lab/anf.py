@@ -232,6 +232,10 @@ class AnfPoly:
     __xor__ = __add__
     __and__ = __mul__
 
+    def __or__(self, other: "AnfPoly") -> "AnfPoly":
+        """Pointwise OR, p + q + pq: the ``|`` of truth tables."""
+        return self + other + self * other
+
     def restrict(self, i: int, b: int) -> "AnfPoly":
         """Fix variable ``i`` to the bit ``b`` and simplify."""
         bit = 1 << i

@@ -148,8 +148,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     points = list_solutions(
         h, solution_cap=args.max_solutions, node_cap=args.max_nodes
     )
-    # The descriptor's fixed points may strictly contain the solutions (the
-    # monitored MERGE_SOUNDNESS claim), so each is checked against the CNF.
+    # A built descriptor's fixed points are the solutions (``descriptor``
+    # docstring); each is still checked against the CNF, to catch an engine fault.
     sols = SolutionSet(
         f.n,
         tuple(
@@ -312,7 +312,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("indicator", help="expand an indicator polynomial")
     add_common(p)
     p.add_argument("--mode", choices=MODES, default="gf2", help="coefficient ring: GF(2), or the integers")
-    p.add_argument("--form", choices=("clauses", "descriptor", "factors"), default="clauses", help="'descriptor' expands the indicator of the descriptor's fixed points, a superset of the solutions (GF(2) only)")
+    p.add_argument("--form", choices=("clauses", "descriptor", "factors"), default="clauses", help="'descriptor' expands the indicator of the built descriptor's fixed points, which are the solutions (GF(2) only)")
     p.add_argument(
         "--cap",
         type=_positive_int,

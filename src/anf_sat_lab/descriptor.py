@@ -7,19 +7,22 @@ residual pushes a constraint down the cascade, one equal to 1 means no
 solution.  Elsewhere the clause entry is a_l, which keeps h_l with no residual
 unless h_l negates a_l (h_l(p, 0) = 1, h_l(p, 1) = 0 at a prefix p).  Merges
 and the substitution (it moves values between prefixes) never make a negating
-entry from others, so no fold does; ``merge`` rejects a descriptor with one.
+entry from others, so no fold does (property (i)); ``merge`` rejects a
+descriptor with one.
 
 The merge ends with a substitution pass: for i = 1..n it replaces a_i by h_i
 in every h_j, j > i.  Its output H' satisfies
 h'_j(alpha) = f_j(H'(alpha)_{<j}, alpha_j), f being the entries it started
 from.  No f_j negates a_j, so every map b -> f_j(p, b) is 0, 1 or b, hence
-idempotent, and by induction on j:
+idempotent, and by induction on j (property (ii)):
 
 - H' o H' = H', so the image of H' is its fixed-point set (Im H' = Fix H');
 - h'_j(alpha) = h'_j(H'(alpha)_{<j}, alpha_j): an entry reads its prefix
   only through the lower entries.
 
-Both hold for every descriptor that a fold or ``merge`` returns.
+Both hold for every descriptor that a fold or ``merge`` returns.  Fix H' is
+{alpha : f_j(alpha) = alpha_j for all j}, so it is read off the entries
+before the pass.
 
 So a fold may skip most of the pass.  Let H be the descriptor a merge
 starts from (a fold's, so H o H = H) and beta be alpha with alpha_i replaced
@@ -28,11 +31,49 @@ alpha_i, level i gives g(g(alpha_i)) = g(alpha_i), and each level above
 reads H(beta) below it and its own variable.  So a_i -> h_i changes no
 function of H(alpha) and alpha_j (j != i).  An entry the merge left alone
 is such a function, and so is each entry it wrote: the t-entry's cube reads
-lower entries, and the level merge and the residuals act prefix by prefix
-on such functions.  So while h_i is H's entry and the pass has not changed
-h_j, a_i -> h_i is a no-op on h_j: the pass applies it only when the merge
-wrote h_i, or the pass itself has changed h_i or h_j.  The public ``merge``
-cannot assume H o H = H of its input and applies every pair.
+lower entries, and the level merge, the residuals and their dead prefixes
+(below) act prefix by prefix on such functions.  So while h_i is H's entry
+and the pass has not changed h_j, a_i -> h_i is a no-op on h_j: the pass
+applies it only when the merge wrote h_i, or the pass itself has changed
+h_i or h_j.  The public ``merge`` cannot assume H o H = H of its input and
+applies every pair.
+
+Merges are exact: for every H with (i) and every clause c,
+Fix merge(H, c) = Fix H & S(c), S(c) being the assignments that satisfy c.
+A fold starts from the identity and keeps Fix = Im, so a build's image is
+the solution set, and a build is UNSAT exactly when there is none.  Proof:
+call a prefix p of length k live when f_i(p) = p_i for i <= k.  By (i) each
+b -> f_i(p, b) fixes some b, so a live prefix extends to a point of Fix H.
+At a live p the clause cube reads f_v(p) = p_v, so b -> (a_t + cube)(p, b)
+is b or the constant that avoids the clause's forbidden value.  On two maps
+in {0, 1, b} the level merge keeps their common fixed values, with residual
+1 exactly where there are none (residual a_0 a_1: the maps differ at b = 0
+and at b = 1).  So at live prefixes of length t - 1 the residual r is 1
+exactly where no value of a_t survives.  Inductively, let r have top
+variable j.  It does not read a_{j+1}..a_{t-1}, whose levels the merge has
+not changed, so at a live q of length j, r(q) = 1 exactly when q has no
+extension in Fix H & S(c).  The cascade merges g = a_j + r into f_j.  At a
+live prefix q of length j - 1, the pair (r(q, 0), r(q, 1)) = 00, 10, 01, 11
+makes g(q, .) = b, 1, 0, 1 - b.  Against f_j(q, .), the new residual is
+
+    r =        00  10  01  11
+    f_j = 0    0   1   0   1 (dead)
+    f_j = 1    0   0   1   1 (dead)
+    f_j = b    0   0   0   1
+
+It is 1 exactly where every value b that f_j allows has r(q, b) = 1, so it
+reads r only at live prefixes (q, b).  Where a value survives, the merged entry keeps the
+surviving values.  The level merge reads g = 1 - b as "no constraint" and
+leaves 0 under r = 11 in the rows of constant f_j.  So the cascade ORs in
+dead = r(., 0) r(., 1), the prefixes where r forbids both values of a_j.
+Down the chain every written level keeps, at each live prefix, exactly the
+values with an extension in Fix H & S(c).  Residual 1 everywhere means that
+the empty prefix has none.
+
+So ``merge`` never drops a point of Fix H & S(c): ``dead`` forbids only
+prefixes whose every extension r already forbids.  It adds no point either.
+On a fold's descriptor Fix H = Im H; on other input Fix H may be smaller
+than Im H (h = (0, a_1), say), and the merge answers for Fix H.
 
 Up to ``_TABLE_MERGE_MAX_LEVEL`` variables the merge holds each entry h_i as
 its 2**i-bit truth table over a_1..a_i (bit ``a`` is the value at the
@@ -42,7 +83,7 @@ it is asked for.  Above it a table would need 2**n bits, so entries are
 sparse monomial sets.  The merge is written once, in ``_merge_clause``; the
 entry form only chooses its kernels: the level merge (``_merge_level`` or
 ``merge_poly``), the residual's top variable, the widening of a lower entry
-to level t, and the final substitution pass.
+to level t, the dead prefixes of a residual, and the final substitution pass.
 """
 
 from __future__ import annotations
@@ -73,8 +114,8 @@ __all__ = [
     "PROFILE_HEADER",
 ]
 
-# The soundness of merge/build against brute force is a monitored conjecture,
-# checked by the falsifier rather than asserted by the test suite.
+# Exactness of merge/build against brute force (module docstring), which the
+# falsifier keeps checking.
 MONITORED_CLAIM = "MERGE_SOUNDNESS"
 
 DEFAULT_LEN_CAP = 1 << 20
@@ -400,9 +441,10 @@ def _merge_clause(
     _check_clause_fits(clause, n)
     tables = _on_tables(n)
     if tables:
-        merge_level, top, lift, substitute = _merge_level, _table_top, widen, _substitute_tables
+        kernels = _merge_level, _table_top, _table_dead, widen, _substitute_tables
     else:
-        merge_level, top, lift, substitute = merge_poly, _poly_top, _same, _substitute_polys
+        kernels = merge_poly, _poly_top, _poly_dead, _same, _substitute_polys
+    merge_level, top, dead, lift, substitute = kernels
     var, one = _units(n, tables)
     t = clause.t
     # a_t + the forbidden cube with a_v <- f_v below t
@@ -423,7 +465,11 @@ def _merge_clause(
         if chain and j >= chain[-1]:
             raise InvariantViolation(f"cascade level {j} does not decrease (chain {chain})")
         chain.append(j)
+        # a_j + r negates a_j where r forbids both values; the level merge misses
+        # those prefixes when f_j is constant there, so add them to its residual.
+        forbidden = dead(residual, j)
         f[j - 1], residual = merge_level(f[j - 1], residual ^ var[j], j)
+        residual |= forbidden
         if 1 << j > cap:
             _check_cap(f[j - 1], j, cap)
         width = j - 1
@@ -460,6 +506,16 @@ def _table_top(residual: int, width: int) -> tuple[int, int]:
 
 def _poly_top(residual: AnfPoly, width: int) -> tuple[AnfPoly, int]:
     return residual, residual.max_var()
+
+
+def _table_dead(residual: int, j: int) -> int:
+    """The prefixes over a_1..a_{j-1} where both halves of the residual over a_j are 1."""
+    half = 1 << (j - 1)
+    return residual & ((1 << half) - 1) & residual >> half
+
+
+def _poly_dead(residual: AnfPoly, j: int) -> AnfPoly:
+    return residual.restrict(j, 0) * residual.restrict(j, 1)
 
 
 def _same(poly: AnfPoly, k: int, n: int) -> AnfPoly:
@@ -551,6 +607,11 @@ def _descriptor(entries: list, n: int) -> Descriptor:
 
 def merge(f: Descriptor, clause: Clause3, *, cap: int = DEFAULT_LEN_CAP) -> Optional[Descriptor]:
     """Merge one clause into a descriptor; None signals an unsatisfiable result.
+
+    The result's image is Fix f & S(clause) for every input with property
+    (i), and None means that set is empty (module docstring).  That is exact,
+    Im f & S(clause), when Fix f = Im f, as on every descriptor a fold or
+    ``merge`` returns; on other input it keeps only f's fixed points.
 
     The cap bounds only the entries the merge writes.  An entry that negates
     its own variable, which no fold makes, raises InvariantViolation.

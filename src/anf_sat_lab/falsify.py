@@ -1,14 +1,16 @@
 """Claim monitoring: run conjectured identities against the oracle and shrink
 any divergence to a clause-minimal reproducer.
 
-Three identities are monitored rather than asserted: that the clause-merge
-build produces exactly the brute-force solution set, that the one-sided
-factor product equals the true indicator, and that the coefficient sweep
-decides satisfiability under its solution-count assumption.  A divergence is
-a finding, not a crash: it is minimized (clause removal only), re-verified
-for 1-minimality, and reported.  An instance that hits a size cap or the
-oracle's bound is skipped and counted by cause; any other engine error
-propagates.
+Three identities are monitored: that the clause-merge build produces exactly
+the brute-force solution set, that the one-sided factor product equals the
+true indicator, and that the coefficient sweep decides satisfiability under
+its solution-count assumption.  The first is proved in the ``descriptor``
+module docstring and the one-sided closed form behind the second in
+``indicator``; the falsifier runs them all the same, so an engine fault
+shows as a finding.  A divergence is a finding, not a crash: it is
+minimized (clause removal only), re-verified for 1-minimality, and
+reported.  An instance that hits a size cap or the oracle's bound is
+skipped and counted by cause; any other engine error propagates.
 """
 
 from __future__ import annotations

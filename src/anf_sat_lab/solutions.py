@@ -10,7 +10,9 @@ is a prefix p of length t < n with h_i(p) = p_i for i <= t.  As h_i reads
 a_1..a_i only, H(p, 0, ..., 0) has prefix p, and it is a fixed point since
 Im H = Fix H (property (ii), H o H = H, proved in the ``descriptor``
 docstring).  So the nodes of each of the n lengths extend to distinct fixed
-points.  A parsed descriptor need not satisfy (ii) and is not bounded so.
+points.  A build's fixed points are the solutions (exactness, in the
+``descriptor`` docstring), so that is n * #S nodes.  A parsed descriptor
+need not satisfy (ii) and is not bounded so.
 """
 
 from __future__ import annotations

@@ -199,9 +199,11 @@ def reference_merge_clause(
     reference always runs the full substitution pass.
 
     The engine's sparse sweep as it was before the table and polynomial
-    sweeps became one, kept verbatim as an independent reference: tests
-    patch it in for ``descriptor._merge_clause``, next to ``_on_tables``,
-    to build the polynomial twins that table builds must match.
+    sweeps became one, kept as an independent reference with the cascade
+    repair (dead prefixes join the residual) written out on polynomials:
+    tests patch it in for ``descriptor._merge_clause``, next to
+    ``_on_tables``, to build the polynomial twins that table builds must
+    match.
     """
     t = clause.t
     h: list[AnfPoly] = [AnfPoly.zero()] * n
@@ -230,7 +232,11 @@ def reference_merge_clause(
             _check_chain(chain, j)
             chain.append(j)
             g_j = residual + AnfPoly.var(j)
-            new_fj, residual = merge_poly(f[j - 1], g_j, j)
+            # Where the residual is 1 at both a_j = 0 and a_j = 1, g_j negates
+            # a_j and no value of a_j is left, whatever f_j allows there.
+            dead = residual.restrict(j, 0) * residual.restrict(j, 1)
+            new_fj, merged = merge_poly(f[j - 1], g_j, j)
+            residual = merged + dead + merged * dead
             if len(new_fj) > cap:
                 raise _over_cap(j, len(new_fj), cap)
             f[j - 1] = new_fj

@@ -80,7 +80,7 @@ class TestMul:
 
 
 def test_xor_and_spell_add_and_mul():
-    # The merge sweep writes + as ^ and * as &, as on truth tables.
+    # The merge sweep writes + as ^, * as & and p + q + pq as |, as on truth tables.
     rng = random.Random(19)
     for _ in range(200):
         n = rng.randrange(1, 7)
@@ -88,6 +88,7 @@ def test_xor_and_spell_add_and_mul():
         assert p ^ q == p + q
         assert p & q == p * q
         assert (p & q).truth_column(n) == p.truth_column(n) & q.truth_column(n)
+        assert (p | q).truth_column(n) == p.truth_column(n) | q.truth_column(n)
 
 
 class TestEval:

@@ -252,10 +252,10 @@ class TestNonNegation:
 
     def test_cap_bounds_only_written_entries(self):
         h = build(sort_clauses(random_formula(10, 43, 1))).descriptor
-        assert len(h.entry(10)) == 57
+        assert len(h.entry(10)) == 25
         with pytest.raises(ResourceCap) as caught:
             merge(h, Clause3.from_signed((1, 2, 3)), cap=4)
-        assert (caught.value.where, caught.value.size) == ("5", 5)
+        assert (caught.value.where, caught.value.size) == ("8", 7)
 
 
 class TestMerge:
@@ -650,12 +650,12 @@ class TestTableBackedDescriptor:
 
 class TestTraceLookups:
     def test_profile_bytes_pinned(self):
-        # sha256 of the profile CSV as rendered before truth-table builds
+        # sha256 of the profile CSV since the cascade adds dead prefixes to its residual
         result = build(sort_clauses(random_formula(10, 43, 1)))
         text = profile_csv(result.trace)
         assert len(text.splitlines()) == 57
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "c70f88de5c6ba6595298822bbc452b5e8d4d279cc0ea5f3e89eec7af93065491"
+            "34c84db5d76f1267e88a5d91dff76538c2bd6c9682f89801f026d3399de5bc85"
         )
 
     def test_predecessors_match_edge_scan(self):
@@ -728,7 +728,7 @@ class TestTracePinned:
         assert all(full_pass(entries, 21) == entries for entries in sparse.states)
         text.append(trace_record(sparse.status, sparse.capped_at, sparse.trace))
         assert hashlib.sha256("".join(text).encode()).hexdigest() == (
-            "dd35727b784e44d7fcb7be1381e5ee81b2d35a37e980bc929a797c62d8e0e2a6"
+            "22eec2b36ecc74c97ca4cfe2a2ecdb08cae6813a5049fbf865c4f863a25366ca"
         )
 
     def test_sparse_builds_pinned(self):
@@ -744,7 +744,7 @@ class TestTracePinned:
                     text.append(trace_record(result.status, result.capped_at, result.trace))
         assert cascades == 37
         assert hashlib.sha256("".join(text).encode()).hexdigest() == (
-            "df892edcae57e6794d6e422e3e2496667ea1374c178b3979287b146ea004ecef"
+            "e5111ab00e72c55afdf72327e964194e726b17d6614c8e2484208274ffca993a"
         )
 
     def test_capped_sparse_builds_pinned(self):
@@ -760,7 +760,7 @@ class TestTracePinned:
                         text.append(trace_record(result.status, result.capped_at, result.trace))
         assert (statuses.count("capped"), statuses.count("ok")) == (22, 2)
         assert hashlib.sha256("".join(text).encode()).hexdigest() == (
-            "63ad959cc3820fe2672e02c7c36a13ac91fec48601f14fd0b1ce18df7338cbe3"
+            "0248c25bbccdb637d0688ceb1c48e8bf827f84d85492d922b3ed4c88e20c82da"
         )
 
     def test_merge_chain_to_unsat_pinned(self):
@@ -769,7 +769,7 @@ class TestTracePinned:
         assert result.unsat and trace.steps[-1].unsat
         assert {step.situation for step in trace.steps} == {"A", "B", "C"}
         assert hashlib.sha256(trace_record("unsat", None, trace).encode()).hexdigest() == (
-            "1a44d23a6d47637071f1f93f02a69bd68783948fb972174d0792477a617277ce"
+            "baee9bd2f6337feee74241a82a48985994a7ffa48e92f40f53a35855485a4d17"
         )
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -20,7 +21,7 @@ from anf_sat_lab.falsify import (
     write_reports,
 )
 from anf_sat_lab.indicator import factor_sequence
-from anf_sat_lab.oracle import random_formula
+from anf_sat_lab.oracle import brute_count, random_formula
 
 from golden import EIGHT_CLAUSE, SIX_VAR, TWO_CLAUSE
 
@@ -102,6 +103,41 @@ class TestFixedPointColumn:
             assert set(set_bits(_fixed_point_column(h))) == h.image_indices()
             builds += 1
         assert builds > 0
+
+
+def every_clause(n):
+    """Every 3-clause over x_1..x_n: three distinct variables, each with either sign."""
+    return [
+        Clause3.from_signed(sign * var for sign, var in zip(signs, vars_))
+        for vars_ in combinations(range(1, n + 1), 3)
+        for signs in product((1, -1), repeat=3)
+    ]
+
+
+class TestCensus:
+    """Builds are exact: proved in the ``descriptor`` module docstring, asserted here.
+
+    The census is every set of k <= 3 distinct clauses over 4 variables, and
+    every set of clauses over 3, whose full set of 8 is the one UNSAT formula.
+    """
+
+    @staticmethod
+    def census():
+        for n, ks in ((3, range(1, 9)), (4, range(1, 4))):
+            clauses = every_clause(n)
+            for k in ks:
+                for chosen in combinations(clauses, k):
+                    yield Formula(n=n, clauses=chosen)
+
+    def test_every_formula_builds_exactly(self):
+        formulas = unsat = 0
+        for f in self.census():
+            assert check_claim("MERGE_SOUNDNESS", f) is None, f
+            count = brute_count(f)
+            assert build(sort_clauses(f)).unsat == (count == 0), f
+            formulas += 1
+            unsat += count == 0
+        assert (formulas, unsat) == (255 + 5488, 1)
 
 
 class TestFactorsReadGroups:

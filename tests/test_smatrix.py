@@ -297,12 +297,15 @@ class TestTextJson:
             SMatrix(support, ())
 
 
-def test_image_enumerator_shared_with_falsifier():
-    # smatrix.image and the MERGE_SOUNDNESS check both read
-    # Descriptor.image_indices; both agree with pointwise evaluation
+def test_image_enumerator_shared_with_falsifier(monkeypatch):
+    # smatrix.image and Descriptor.image_indices agree with pointwise
+    # evaluation.  MERGE_SOUNDNESS compares the fixed-point column, which is
+    # the image on built descriptors, and passes exactly when the image is
+    # the solution set.  Builds are exact, so the identity is planted as the
+    # build's descriptor for the inexact case.
+    from anf_sat_lab import falsify
     from anf_sat_lab.cnf import sort_clauses
-    from anf_sat_lab.descriptor import build
-    from anf_sat_lab.falsify import check_claim
+    from anf_sat_lab.descriptor import BuildResult, build
     from anf_sat_lab.oracle import random_formula
 
     exact = inexact = 0
@@ -311,14 +314,16 @@ def test_image_enumerator_shared_with_falsifier():
         result = build(sort_clauses(f))
         if not result.ok:
             continue
-        h = result.descriptor
-        indices = h.image_indices()
-        from_matrix = {
-            sum(bit << i for i, bit in enumerate(row)) for row in image(h).assignments()
-        }
-        assert indices == from_matrix == {m >> 1 for m in descriptor_image_masks(h)}
         solutions = {m >> 1 for m in brute_solutions(f).masks()}
-        assert (check_claim("MERGE_SOUNDNESS", f) is None) == (indices == solutions)
-        exact += indices == solutions
-        inexact += indices != solutions
+        for h in (result.descriptor, identity_descriptor(f.n)):
+            indices = h.image_indices()
+            from_matrix = {
+                sum(bit << i for i, bit in enumerate(row)) for row in image(h).assignments()
+            }
+            assert indices == from_matrix == {m >> 1 for m in descriptor_image_masks(h)}
+            planted = BuildResult("ok", h, result.formula, (), ())
+            monkeypatch.setattr(falsify, "build", lambda sf: planted)
+            assert (falsify.check_claim("MERGE_SOUNDNESS", f) is None) == (indices == solutions)
+            exact += indices == solutions
+            inexact += indices != solutions
     assert exact and inexact  # the corpus exercises both outcomes

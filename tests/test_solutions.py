@@ -12,7 +12,7 @@ from anf_sat_lab.descriptor import (
     identity_descriptor,
 )
 from anf_sat_lab.errors import InvariantViolation
-from anf_sat_lab.oracle import random_formula
+from anf_sat_lab.oracle import brute_count, random_formula
 from anf_sat_lab.solutions import (
     SearchStats,
     SolutionSet,
@@ -100,7 +100,8 @@ class TestListSolutions:
 
 class TestNodeBound:
     """The DFS over a built descriptor visits at most n * |Fix H| nodes
-    (proved in the ``solutions`` module docstring)."""
+    (proved in the ``solutions`` module docstring), and |Fix H| = #S
+    (proved in the ``descriptor`` module docstring)."""
 
     def test_nodes_at_most_n_sigma(self):
         builds = 0
@@ -108,14 +109,17 @@ class TestNodeBound:
             for ratio in (1, 2.5, 4.26, 6):
                 for seed in (1, 2, 3):
                     m = min(8 * comb(n, 3), max(1, round(ratio * n)))
-                    h = build(sort_clauses(random_formula(n, m, seed))).descriptor
+                    f = random_formula(n, m, seed)
+                    count = brute_count(f)
+                    h = build(sort_clauses(f)).descriptor
                     if h is None:
+                        assert count == 0, (n, ratio, seed)
                         continue
                     stats = SearchStats()
-                    sigma = list_solutions(h, stats=stats).sigma
-                    assert stats.nodes <= n * sigma, (n, ratio, seed)
+                    list_solutions(h, stats=stats)
+                    assert stats.nodes <= n * count, (n, ratio, seed)
                     builds += 1
-        assert builds == 160
+        assert builds == 129
 
 
 class TestIntersect:
